@@ -15,9 +15,12 @@
 //	inspect -topo benes -width 8 -height 1   # deep-dive an indirect fabric
 //	inspect -telemetry-addr :9090            # live metrics + pprof endpoint
 //	inspect -why -rate 0.3                   # per-packet tail-blame report
+//	inspect -why -why-out report.json        # JSON report; exit 1 unless
+//	                                         # 95% attributed (-min-attrib)
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -51,8 +54,18 @@ func main() {
 	telemetryAddr := cliflags.TelemetryAddr(flag.CommandLine)
 	parallel := flag.Int("parallel", 0, "worker pool size (0 = one per core)")
 	why := provenance.RegisterFlags(flag.CommandLine)
+	whyOut := flag.String("why-out", "", "with -why, write the tail-blame reports as a JSON array to this file")
+	minAttrib := flag.Float64("min-attrib", 0.95,
+		"with -why, fail unless every sampled packet's named stages explain at least this latency fraction")
 	flag.Parse()
 	why.Clamp()
+	if !why.Why {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "why-out" || f.Name == "min-attrib" {
+				fail(fmt.Errorf("-%s applies with -why only", f.Name))
+			}
+		})
+	}
 
 	w, h := geo.Width, geo.Height
 	var opts []figures.InspectOpts
@@ -138,12 +151,45 @@ func main() {
 		}
 	}
 
-	_, err = figures.InspectBundle(opts, exp.Options{Workers: *parallel}, figures.BundleOpts{
+	results, err := figures.InspectBundle(opts, exp.Options{Workers: *parallel}, figures.BundleOpts{
 		TracePath: *traceOut, MetricsPath: *metricsOut, SeriesPath: *seriesOut,
 		Heatmap: *heatmap, WhyTop: why.Top,
 	}, os.Stdout)
 	if err != nil {
 		fail(err)
+	}
+	if !why.Why {
+		return
+	}
+
+	var reports []*provenance.Report
+	failed := false
+	for i := range results {
+		rep := results[i].Prov.Report(results[i].Name)
+		reports = append(reports, rep)
+		if rep.Cohort == 0 {
+			fmt.Fprintf(os.Stderr, "inspect: %s completed no packets\n", rep.Name)
+			failed = true
+			continue
+		}
+		if rep.AttributionMin < *minAttrib {
+			fmt.Fprintf(os.Stderr, "inspect: %s attribution min %.3f below -min-attrib %.3f\n",
+				rep.Name, rep.AttributionMin, *minAttrib)
+			failed = true
+		}
+	}
+	if *whyOut != "" {
+		data, err := json.MarshalIndent(reports, "", "  ")
+		if err != nil {
+			fail(err)
+		}
+		if err := os.WriteFile(*whyOut, append(data, '\n'), 0o644); err != nil {
+			fail(err)
+		}
+		fmt.Printf("wrote %s (%d reports)\n", *whyOut, len(reports))
+	}
+	if failed {
+		os.Exit(1)
 	}
 }
 

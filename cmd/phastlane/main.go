@@ -1,69 +1,112 @@
-// Command phastlane runs one Phastlane optical-network simulation and
-// reports latency, throughput, drops and power. Traffic is either a
-// synthetic pattern at a fixed injection rate or a trace file produced by
-// tracegen. With -topo benes or -topo shufflecast the run uses the
-// generic fabric simulator over that topology instead of the mesh
-// optical model (synthetic traffic only).
+// Command phastlane runs one network simulation, the Phastlane optical
+// mesh (-net optical, the default) or the Table 2 electrical baseline
+// (-net electrical), and reports latency, throughput, drops and power.
+// Traffic is either a synthetic pattern at a fixed injection rate or a
+// trace file produced by tracegen. With -topo benes or -topo shufflecast
+// the run uses the generic fabric simulator over that topology instead of
+// a mesh model (synthetic traffic only).
+//
+// -hops, -buffers and -retry-limit apply to -net optical only; -delay
+// applies to -net electrical only, on the mesh and on fabrics alike.
 //
 // Usage:
 //
 //	phastlane -traffic Uniform -rate 0.1
 //	phastlane -traffic Transpose -rate 0.2 -hops 5 -buffers 32
 //	phastlane -trace ocean.trace
+//	phastlane -net electrical -delay 2 -trace ocean.trace
 //	phastlane -topo benes -width 8 -height 1 -rate 0.1
+//	phastlane -net electrical -topo shufflecast -width 8 -height 1 -arity 2
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 
 	"phastlane/internal/cliflags"
 	"phastlane/internal/core"
+	"phastlane/internal/electrical"
+	"phastlane/internal/fault"
+	"phastlane/internal/figures"
 	"phastlane/internal/packet"
 	"phastlane/internal/photonic"
 	"phastlane/internal/sim"
 	"phastlane/internal/telemetry"
 	"phastlane/internal/trace"
-	"phastlane/internal/traffic"
 )
 
 func main() {
+	netName := flag.String("net", "optical", "network: optical (Phastlane) or electrical (Table 2 baseline)")
 	trafficName := flag.String("traffic", "Uniform", "pattern: Uniform, BitComp, BitRev, Shuffle, Transpose")
 	rate := flag.Float64("rate", 0.05, "injection rate (packets/node/cycle)")
 	tracePath := flag.String("trace", "", "replay a trace file instead of synthetic traffic")
-	hops := flag.Int("hops", 4, "max hops per cycle (4, 5, or 8)")
+	hops := flag.Int("hops", 4, "optical: max hops per cycle (4, 5, or 8)")
 	geo := cliflags.RegisterGeometry(flag.CommandLine)
-	buffers := flag.Int("buffers", 10, "electrical buffer entries per port (-1 = infinite)")
+	buffers := flag.Int("buffers", 10, "optical: electrical buffer entries per port (-1 = infinite)")
+	delay := flag.Int("delay", 3, "electrical: per-hop router delay in cycles (mesh: 2 or 3)")
 	measure := flag.Int("measure", 4000, "measurement cycles (synthetic traffic)")
 	seed := cliflags.Seed(flag.CommandLine)
 	faultSpec := flag.String("faults", "", "fault plan: spec string, inline JSON, or @file")
-	retryLimit := flag.Int("retry-limit", 0, "drop-retry budget per packet (0 = unlimited)")
+	retryLimit := flag.Int("retry-limit", 0, "optical: drop-retry budget per packet (0 = unlimited)")
 	lossTimeout := flag.Int64("loss-timeout", 0, "cycles before an undelivered packet is declared lost (0 = never)")
 	ccFlags := cliflags.RegisterCC(flag.CommandLine)
 	telFlags := telemetry.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	switch *netName {
+	case "optical":
+		if set["delay"] {
+			fail(errors.New("-delay applies to -net electrical only"))
+		}
+	case "electrical":
+		for _, name := range []string{"hops", "buffers", "retry-limit"} {
+			if set[name] {
+				fail(fmt.Errorf("-%s applies to -net optical only", name))
+			}
+		}
+	default:
+		fail(fmt.Errorf("unknown -net %q (want optical or electrical)", *netName))
+	}
+
 	var net sim.Network
 	if geo.IsMesh() {
-		cfg := core.DefaultConfig()
-		cfg.Width, cfg.Height = geo.Width, geo.Height
-		cfg.MaxHops = *hops
-		cfg.BufferEntries = *buffers
-		cfg.Seed = *seed
-		cfg.RetryLimit = *retryLimit
-		cfg.LossTimeout = *lossTimeout
+		var plan *fault.Plan
 		if *faultSpec != "" {
-			plan, err := cliflags.ParseFaultArg(*faultSpec)
+			p, err := cliflags.ParseFaultArg(*faultSpec)
 			if err != nil {
 				fail(err)
 			}
+			plan = p
+		}
+		if *netName == "optical" {
+			cfg := core.DefaultConfig()
+			cfg.Width, cfg.Height = geo.Width, geo.Height
+			cfg.MaxHops = *hops
+			cfg.BufferEntries = *buffers
+			cfg.Seed = *seed
+			cfg.RetryLimit = *retryLimit
+			cfg.LossTimeout = *lossTimeout
 			cfg.Faults = plan
+			if err := cfg.Validate(); err != nil {
+				fail(err)
+			}
+			net = core.New(cfg)
+		} else {
+			cfg := electrical.DefaultConfig()
+			cfg.Width, cfg.Height = geo.Width, geo.Height
+			cfg.RouterDelay = *delay
+			cfg.Seed = *seed
+			cfg.LossTimeout = *lossTimeout
+			cfg.Faults = plan
+			if err := cfg.Validate(); err != nil {
+				fail(err)
+			}
+			net = electrical.New(cfg)
 		}
-		if err := cfg.Validate(); err != nil {
-			fail(err)
-		}
-		net = core.New(cfg)
 	} else {
 		if *tracePath != "" {
 			fail(geo.RequireMesh("-trace replay"))
@@ -74,7 +117,11 @@ func main() {
 		if *retryLimit != 0 {
 			fail(geo.RequireMesh("-retry-limit (fabric simulators have no drop/retry protocol)"))
 		}
-		fnet, err := geo.FabricNetwork(0, *lossTimeout, *seed)
+		routerDelay := 0 // the fabric simulator's default
+		if *netName == "electrical" {
+			routerDelay = *delay
+		}
+		fnet, err := geo.FabricNetwork(routerDelay, *lossTimeout, *seed)
 		if err != nil {
 			fail(err)
 		}
@@ -112,7 +159,8 @@ func main() {
 			}
 		}
 	} else {
-		pattern, err := patternByName(*trafficName, net.Nodes())
+		// Uniform traffic keeps its fixed seed 7, independent of -seed.
+		pattern, err := figures.PatternByName(*trafficName, net.Nodes(), 7)
 		if err != nil {
 			fail(err)
 		}
@@ -136,23 +184,6 @@ func main() {
 	report(res, net.Nodes())
 	if err := telFlags.Finish(tel, os.Stdout); err != nil {
 		fail(err)
-	}
-}
-
-func patternByName(name string, nodes int) (traffic.Pattern, error) {
-	switch name {
-	case "Uniform":
-		return traffic.UniformRandom(nodes, 7), nil
-	case "BitComp":
-		return traffic.BitComplement(nodes), nil
-	case "BitRev":
-		return traffic.BitReverse(nodes), nil
-	case "Shuffle":
-		return traffic.Shuffle(nodes), nil
-	case "Transpose":
-		return traffic.Transpose(nodes), nil
-	default:
-		return nil, fmt.Errorf("unknown pattern %q", name)
 	}
 }
 

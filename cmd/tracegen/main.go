@@ -1,7 +1,8 @@
 // Command tracegen runs the snoopy cache-coherence substrate over a SPLASH2
 // workload model and writes the resulting dependency-carrying packet trace
-// to a file, which cmd/phastlane and cmd/electrical can replay - the same
-// shared-trace methodology as the paper's Section 4.
+// to a file, which cmd/phastlane can replay on either network (-net
+// optical or -net electrical) - the same shared-trace methodology as the
+// paper's Section 4.
 //
 // Usage:
 //

@@ -3,7 +3,6 @@ package core
 import (
 	"phastlane/internal/mesh"
 	"phastlane/internal/obs"
-	"phastlane/internal/sim"
 )
 
 // The event vocabulary lives in internal/obs so both the Phastlane
@@ -50,10 +49,7 @@ const (
 // and for the obs.Collector observability bundle.
 func (n *Network) SetTracer(f func(Event)) { n.tracer = f }
 
-var (
-	_ obs.Traceable = (*Network)(nil)
-	_ sim.Traceable = (*Network)(nil)
-)
+var _ obs.Traceable = (*Network)(nil)
 
 // emit reports an event to the tracer, if any.
 func (n *Network) emit(kind EventKind, msgID uint64, node mesh.NodeID, dir mesh.Dir) {

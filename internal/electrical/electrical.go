@@ -216,7 +216,6 @@ type Network struct {
 
 var (
 	_ sim.Network                 = (*Network)(nil)
-	_ sim.Traceable               = (*Network)(nil)
 	_ obs.Traceable               = (*Network)(nil)
 	_ telemetry.Instrumentable    = (*Network)(nil)
 	_ telemetry.ActiveSetReporter = (*Network)(nil)

@@ -144,7 +144,6 @@ type Network struct {
 
 var (
 	_ sim.Network                = (*Network)(nil)
-	_ sim.Traceable              = (*Network)(nil)
 	_ obs.Traceable              = (*Network)(nil)
 	_ sim.LossReporting          = (*Network)(nil)
 	_ telemetry.InvariantChecker = (*Network)(nil)
@@ -214,7 +213,7 @@ func (n *Network) Nodes() int { return n.top.Endpoints() }
 // Run implements sim.Network.
 func (n *Network) Run() *stats.Run { return &n.run }
 
-// SetTracer implements sim.Traceable / obs.Traceable.
+// SetTracer implements obs.Traceable.
 func (n *Network) SetTracer(f func(obs.Event)) { n.tracer = f }
 
 // NICFree implements sim.Network.

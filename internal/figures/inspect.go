@@ -81,7 +81,7 @@ func Inspect(o InspectOpts) InspectResult {
 	}
 	net := o.Build(o.Seed)
 	res := InspectResult{Name: o.Name, Metrics: c.Metrics, Sampler: c.Sampler}
-	_, res.Traced = net.(sim.Traceable)
+	_, res.Traced = net.(obs.Traceable)
 	res.Prov = o.Prov
 	if res.Prov == nil && o.WhySample > 0 {
 		pc := provenance.Config{

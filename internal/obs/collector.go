@@ -53,19 +53,3 @@ func Tee(a, b func(Event)) func(Event) {
 		b(e)
 	}
 }
-
-// Attach installs the collector's tracer on net if the network supports
-// tracing, reporting whether events will flow. A nil collector or a
-// network without instrumentation leaves net untouched.
-func (c *Collector) Attach(net any) bool {
-	tr := c.Tracer()
-	if tr == nil {
-		return false
-	}
-	t, ok := net.(Traceable)
-	if !ok {
-		return false
-	}
-	t.SetTracer(tr)
-	return true
-}

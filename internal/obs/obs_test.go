@@ -276,12 +276,6 @@ func TestCollectorTracer(t *testing.T) {
 	if traced != 1 || m.Total(KindLaunch) != 1 {
 		t.Errorf("fan-out failed: traced=%d launches=%d", traced, m.Total(KindLaunch))
 	}
-	if (&Collector{}).Attach(struct{}{}) {
-		t.Error("attach with no tracer succeeded")
-	}
-	if c.Attach(42) {
-		t.Error("attach to non-traceable succeeded")
-	}
 }
 
 func TestTee(t *testing.T) {

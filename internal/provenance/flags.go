@@ -6,8 +6,8 @@ import "flag"
 const DefaultTop = 10
 
 // CLI is the shared command-line surface of the provenance layer,
-// mirroring telemetry.CLI: cmd/inspect and cmd/sweep register the full
-// bundle (opt-in via -why), cmd/why registers the always-on variant.
+// mirroring telemetry.CLI: cmd/inspect and cmd/sweep register it, and
+// -why attaches provenance to their deep-dive runs.
 type CLI struct {
 	// Why is -why: attach provenance and print tail-blame reports.
 	Why bool
@@ -22,23 +22,11 @@ func RegisterFlags(fs *flag.FlagSet) *CLI {
 	c := &CLI{}
 	fs.BoolVar(&c.Why, "why", false,
 		"attach per-packet latency provenance and print a tail-blame report per run")
-	registerShared(fs, c)
-	return c
-}
-
-// RegisterAlwaysOn registers -why-sample and -why-top with provenance
-// unconditionally enabled (cmd/why).
-func RegisterAlwaysOn(fs *flag.FlagSet) *CLI {
-	c := &CLI{Why: true}
-	registerShared(fs, c)
-	return c
-}
-
-func registerShared(fs *flag.FlagSet, c *CLI) {
 	fs.IntVar(&c.Sample, "why-sample", DefaultK,
 		"slowest-packet cohort size for the tail-blame report (<= 0 clamps to the default)")
 	fs.IntVar(&c.Top, "why-top", DefaultTop,
 		"rows shown in blame and slow-packet tables (<= 0 clamps to the default)")
+	return c
 }
 
 // Clamp normalises out-of-range flag values instead of letting them

@@ -194,16 +194,4 @@ func TestCLIClamp(t *testing.T) {
 	if !c.Why || c.Sample != DefaultK || c.Top != DefaultTop {
 		t.Fatalf("clamped CLI = %+v, want Why with defaults", c)
 	}
-	fs2 := flag.NewFlagSet("y", flag.ContinueOnError)
-	c2 := RegisterAlwaysOn(fs2)
-	if err := fs2.Parse([]string{"-why-sample=12"}); err != nil {
-		t.Fatal(err)
-	}
-	c2.Clamp()
-	if !c2.Why || c2.Sample != 12 {
-		t.Fatalf("always-on CLI = %+v", c2)
-	}
-	if fs2.Lookup("why") != nil {
-		t.Fatalf("always-on bundle must not register -why")
-	}
 }

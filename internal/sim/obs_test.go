@@ -79,28 +79,6 @@ func TestRunRateWithCollector(t *testing.T) {
 	}
 }
 
-// TestRunRateObsIdentical: attaching observers must not change any
-// simulation number (the zero-cost-when-off contract's stronger sibling).
-func TestRunRateObsIdentical(t *testing.T) {
-	for name, build := range obsNets() {
-		t.Run(name, func(t *testing.T) {
-			cfg := sim.RateConfig{
-				Pattern: traffic.Transpose(64), Rate: 0.15,
-				Warmup: 200, Measure: 1000, Seed: 7,
-			}
-			plain := sim.RunRate(build(), cfg)
-			cfg.Obs = &obs.Collector{Metrics: obs.NewMetrics(8, 8), Sampler: obs.NewSampler(64, 0)}
-			traced := sim.RunRate(build(), cfg)
-			if plain.Run.Latency.Mean() != traced.Run.Latency.Mean() ||
-				plain.Run.Delivered != traced.Run.Delivered ||
-				plain.Run.Drops != traced.Run.Drops ||
-				plain.Run.TotalEnergyPJ() != traced.Run.TotalEnergyPJ() {
-				t.Errorf("observability changed results: %+v vs %+v", plain.Run, traced.Run)
-			}
-		})
-	}
-}
-
 // TestRunTraceWithCollector: trace replay feeds the same bundle.
 func TestRunTraceWithCollector(t *testing.T) {
 	tr, err := figures.TraceFor("LU", 2000, 17)

@@ -62,15 +62,11 @@ type Network interface {
 	Run() *stats.Run
 }
 
-// Traceable is implemented by networks that can report router-level
-// events through the shared obs vocabulary. SetTracer installs a callback
-// invoked synchronously for every event; nil disables tracing (the
-// default, which must cost nothing). The harness and the figures layer
-// attach observability through this single interface — a network that
+// Traceable is obs.Traceable under the harness's name: networks that
+// report router-level events through the shared obs vocabulary. The
+// harness attaches observability through it, so a network that
 // implements it gets tracing everywhere, with no per-simulator wiring.
-type Traceable interface {
-	SetTracer(func(obs.Event))
-}
+type Traceable = obs.Traceable
 
 // LossReason classifies why the delivery layer abandoned a message.
 type LossReason int
@@ -118,14 +114,6 @@ type LossReporting interface {
 	SetLossHandler(func(Loss))
 }
 
-// attachLoss installs handler on net when the network supports loss
-// reporting; without support the handler never fires (lossless networks).
-func attachLoss(net Network, handler func(Loss)) {
-	if lr, ok := net.(LossReporting); ok {
-		lr.SetLossHandler(handler)
-	}
-}
-
 // CongestionReporting is implemented by networks whose NIC layer can
 // attribute congestion nacks to the responsible sender: an optical drop
 // notice returning to the parcel's owner, or an electrical injection
@@ -135,67 +123,6 @@ func attachLoss(net Network, handler func(Loss)) {
 // governor's Nack sink through this interface.
 type CongestionReporting interface {
 	SetNackHandler(func(src mesh.NodeID))
-}
-
-// attachCC installs the governor's nack sink on net when the network can
-// attribute nacks; fabrics without nacks (fabsim is lossless in-network)
-// still get governed through the harness's ack/loss plumbing.
-func attachCC(net Network, gov *cc.Governor) {
-	if gov == nil {
-		return
-	}
-	if cr, ok := net.(CongestionReporting); ok {
-		cr.SetNackHandler(gov.Nack)
-	}
-}
-
-// attachObs installs the run's event tap on net when both sides support
-// it — the collector's tracer teed with the provenance tracker's Observe
-// — and returns the sampler the harness must drive, if any. This is the
-// one type-assertion through which every observability attachment flows.
-func attachObs(net Network, c *obs.Collector, prov *provenance.Tracker) *obs.Sampler {
-	var pt func(obs.Event)
-	if prov != nil {
-		pt = prov.Observe
-	}
-	if tr := obs.Tee(c.Tracer(), pt); tr != nil {
-		if t, ok := net.(Traceable); ok {
-			t.SetTracer(tr)
-		}
-	}
-	if c == nil {
-		return nil
-	}
-	return c.Sampler
-}
-
-// attachTelemetry installs t's phase profile on net (when the network is
-// instrumentable) and returns the network's optional telemetry views:
-// the active-set size reporter and the invariant checker, nil when
-// unsupported. The counterpart of attachObs for the telemetry layer.
-func attachTelemetry(net Network, t *telemetry.Run) (telemetry.ActiveSetReporter, telemetry.InvariantChecker) {
-	if t == nil {
-		return nil, nil
-	}
-	if in, ok := net.(telemetry.Instrumentable); ok {
-		in.SetPhases(t.Phases)
-	}
-	asr, _ := net.(telemetry.ActiveSetReporter)
-	ic, _ := net.(telemetry.InvariantChecker)
-	return asr, ic
-}
-
-// telemetryFlush drives one watchdog-and-flight-record flush, gathering
-// the optional network views. activeRouters is -1 without an active set.
-func telemetryFlush(t *telemetry.Run, asr telemetry.ActiveSetReporter, ic telemetry.InvariantChecker, s telemetry.FlushStats) {
-	s.ActiveRouters = -1
-	if asr != nil {
-		s.ActiveRouters = asr.ActiveRouters()
-	}
-	if ic != nil {
-		s.InvariantErr = ic.CheckInvariants()
-	}
-	t.Flush(s)
 }
 
 // Result summarises one harness run.
@@ -233,9 +160,7 @@ type Result struct {
 }
 
 // messageState tracks outstanding destinations and injection time for
-// latency accounting. The harness keeps these in slices indexed by
-// message ID (IDs are dense and bounded in both run modes), not maps:
-// per-message map inserts used to dominate steady-state allocation.
+// latency accounting.
 type messageState struct {
 	inject    int64
 	remaining int
@@ -251,6 +176,233 @@ type messageState struct {
 	// false) so the governor's ack stream is symmetric with its nack
 	// stream from cycle zero.
 	measured bool
+}
+
+// ledger is the message bookkeeping both run modes share: the state
+// table, the loss handler, the completion path that feeds the latency
+// stats, the loss count and every attached hook, and the end-of-cycle
+// sampler and telemetry work. RunRate and RunTrace keep only their
+// injection policies and one per-completion callback.
+type ledger struct {
+	net  Network
+	nrun *stats.Run
+	res  *Result
+	// states[i] tracks message base+i. IDs are dense and bounded in both
+	// run modes, so the table is a slice, not a map: per-message map
+	// inserts used to dominate steady-state allocation. base == 0 means
+	// nothing has been recorded yet (IDs start at 1).
+	states []messageState
+	base   uint64
+	cycle  int64
+	// injected counts every message handed to the network, measured the
+	// measured ones, and inFlight the measured ones not yet resolved.
+	injected, measured int64
+	inFlight           int
+	// This cycle's accepted injections, completions and latency sum.
+	cycleInjected, completed int
+	latencySum               float64
+	deliveries               []Delivery // reused across cycles (Step buffer contract)
+	// done, when set, runs once per resolved measured message after the
+	// ledger's own accounting; st.lost tells a loss from a delivery.
+	done func(id uint64, st *messageState, lat float64)
+
+	sampler *obs.Sampler
+	tel     *telemetry.Run
+	asr     telemetry.ActiveSetReporter
+	ic      telemetry.InvariantChecker
+	prov    *provenance.Tracker
+	gov     *cc.Governor
+}
+
+// newLedger attaches every hook of a run to net, each through the one
+// optional interface the network may implement: the event tap (the
+// collector's tracer teed with the provenance tracker's Observe), the
+// telemetry phase profile and views, the governor's nack sink, and the
+// ledger's own loss handler. Nil hooks cost nothing.
+func newLedger(net Network, res *Result, c *obs.Collector, tel *telemetry.Run, prov *provenance.Tracker, gov *cc.Governor) *ledger {
+	l := &ledger{net: net, nrun: net.Run(), res: res, tel: tel, prov: prov, gov: gov}
+	var pt func(obs.Event)
+	if prov != nil {
+		pt = prov.Observe
+	}
+	if tr := obs.Tee(c.Tracer(), pt); tr != nil {
+		if t, ok := net.(Traceable); ok {
+			t.SetTracer(tr)
+		}
+	}
+	if c != nil {
+		l.sampler = c.Sampler
+	}
+	if tel != nil {
+		if in, ok := net.(telemetry.Instrumentable); ok {
+			in.SetPhases(tel.Phases)
+		}
+		l.asr, _ = net.(telemetry.ActiveSetReporter)
+		l.ic, _ = net.(telemetry.InvariantChecker)
+	}
+	// Fabrics without nacks (fabsim is lossless in-network) are still
+	// governed through the ack/loss path.
+	if cr, ok := net.(CongestionReporting); ok && gov != nil {
+		cr.SetNackHandler(gov.Nack)
+	}
+	if lr, ok := net.(LossReporting); ok {
+		lr.SetLossHandler(l.lose)
+	}
+	return l
+}
+
+// inject hands m to the network; its latency counts from cycle at. The
+// ledger records measured messages, and unmeasured ones too when a
+// governor needs their acks.
+func (l *ledger) inject(m Message, at int64, measured bool) {
+	if measured && l.prov != nil {
+		// Before net.Inject, so the network's inject event (and
+		// everything after) lands in the packet's log.
+		l.prov.Inject(m.ID, m.Src, at)
+	}
+	l.net.Inject(m)
+	l.injected++
+	l.cycleInjected++
+	if !measured && l.gov == nil {
+		return
+	}
+	if l.base == 0 {
+		l.base = m.ID
+	}
+	st := messageState{inject: at, remaining: len(m.Dsts), src: m.Src, measured: measured}
+	if i := m.ID - l.base; i < uint64(len(l.states)) {
+		l.states[i] = st // a replay's table, allocated up front
+	} else {
+		l.states = append(l.states, st) // rate runs record IDs in order
+	}
+	if measured {
+		l.measured++
+		l.inFlight++
+	}
+}
+
+// state returns the record of an outstanding message, or nil for one the
+// ledger does not track (unrecorded warmup traffic) or has resolved.
+func (l *ledger) state(id uint64) *messageState {
+	i := id - l.base // IDs below base wrap to an out-of-range index
+	if i >= uint64(len(l.states)) || l.states[i].remaining == 0 {
+		return nil
+	}
+	return &l.states[i]
+}
+
+// step advances the network one cycle, resolves its deliveries, and does
+// the end-of-cycle sampler and telemetry work.
+func (l *ledger) step() {
+	l.deliveries = l.net.Step(l.deliveries[:0])
+	l.completed, l.latencySum = 0, 0
+	for _, d := range l.deliveries {
+		if st := l.state(d.MsgID); st != nil {
+			st.remaining--
+			if st.remaining == 0 {
+				l.finish(d.MsgID, st)
+			}
+		}
+	}
+	if l.sampler != nil {
+		l.sampler.Tick(l.cycle, len(l.deliveries), l.completed, l.latencySum, l.cycleInjected, l.nrun.Drops)
+	}
+	l.cycle++
+	if l.tel != nil {
+		l.tel.Tick(l.cycleInjected, len(l.deliveries), l.nrun.Drops, l.nrun.Retries, l.inFlight)
+		if l.cycle%l.tel.FlushEvery == 0 {
+			l.flush()
+		}
+	}
+	l.cycleInjected = 0
+}
+
+// lose is the network's loss handler. Abandoned destinations resolve like
+// deliveries, so the drain phase does not wait for packets that will
+// never arrive and a replay's dependents proceed.
+func (l *ledger) lose(loss Loss) {
+	st := l.state(loss.MsgID)
+	if st == nil {
+		return
+	}
+	st.lost = true
+	st.remaining -= min(loss.Count, st.remaining)
+	if st.remaining == 0 {
+		l.finish(loss.MsgID, st)
+	}
+}
+
+// finish resolves a message with no destination outstanding: as a loss if
+// any destination was abandoned, otherwise as one latency sample. The
+// governor hears about every message it is tracked for; the stats and
+// the other hooks only about measured ones.
+func (l *ledger) finish(id uint64, st *messageState) {
+	lat := float64(l.cycle - st.inject + 1)
+	if l.gov != nil {
+		if st.lost {
+			l.gov.Lost(st.src)
+		} else {
+			l.gov.Ack(st.src, lat)
+		}
+	}
+	if !st.measured {
+		return
+	}
+	l.inFlight--
+	if st.lost {
+		l.res.Lost++
+		if l.tel != nil {
+			l.tel.Lost.Inc()
+		}
+		if l.prov != nil {
+			l.prov.Lost(id)
+		}
+	} else {
+		l.res.Run.Latency.Add(lat)
+		l.completed++
+		l.latencySum += lat
+		if l.tel != nil {
+			l.tel.Latency.Observe(lat)
+		}
+		if l.prov != nil {
+			l.prov.Complete(id, l.cycle)
+		}
+	}
+	if l.done != nil {
+		l.done(id, st, lat)
+	}
+}
+
+// flush drives one watchdog-and-flight-record flush over the measured
+// messages.
+func (l *ledger) flush() {
+	s := telemetry.FlushStats{
+		Cycle:         l.cycle,
+		Injected:      l.measured,
+		Delivered:     int64(l.res.Run.Latency.Count()),
+		Lost:          l.res.Lost,
+		InFlight:      int64(l.inFlight),
+		ActiveRouters: -1,
+	}
+	if l.asr != nil {
+		s.ActiveRouters = l.asr.ActiveRouters()
+	}
+	if l.ic != nil {
+		s.InvariantErr = l.ic.CheckInvariants()
+	}
+	l.tel.Flush(s)
+}
+
+// close ends the run: a closing flush audits conservation over the whole
+// run even when it is shorter than a flush period, and the network-side
+// counters join the harness's.
+func (l *ledger) close() {
+	if l.tel != nil {
+		l.flush()
+	}
+	l.res.Run.Injected = l.injected
+	l.res.Run.Delivered = int64(l.res.Run.Latency.Count())
+	copyCounters(&l.res.Run, l.nrun)
 }
 
 // RateConfig controls a synthetic rate-driven run.
@@ -305,67 +457,22 @@ func RunRate(net Network, cfg RateConfig) Result {
 		cfg.DrainLimit = 30000
 	}
 	inj := traffic.NewInjector(cfg.Pattern, net.Nodes(), cfg.Rate, cfg.Seed)
-	res := Result{OfferedRate: cfg.Rate}
-	// states[i] tracks message ID base+uint64(i); only messages injected
-	// during the measure phase are recorded. base == 0 means nothing has
-	// been recorded yet (IDs start at 1).
-	var states []messageState
-	var base uint64
-	var active int
-	var nextID uint64
-	var cycle int64
-	var offered, accepted int64
-	prov := cfg.Prov
-	sampler := attachObs(net, cfg.Obs, prov)
-	tel := cfg.Telemetry
-	telASR, telIC := attachTelemetry(net, tel)
+	res := Result{OfferedRate: cfg.Rate, DeliveredBySender: make([]int64, net.Nodes())}
 	gov := cfg.CC
-	attachCC(net, gov)
-	res.DeliveredBySender = make([]int64, net.Nodes())
-	nrun := net.Run()
-	// Losses reported by the delivery layer resolve measured messages so
-	// the drain phase does not wait forever for packets that will never
-	// arrive. Unrecorded (warmup) losses need no bookkeeping.
-	var recorded int64
-	attachLoss(net, func(l Loss) {
-		if base == 0 || l.MsgID < base || l.MsgID-base >= uint64(len(states)) {
-			return
+	l := newLedger(net, &res, cfg.Obs, cfg.Telemetry, cfg.Prov, gov)
+	l.done = func(_ uint64, st *messageState, _ float64) {
+		if !st.lost {
+			res.DeliveredBySender[st.src]++
 		}
-		st := &states[l.MsgID-base]
-		if st.remaining == 0 {
-			return
-		}
-		st.lost = true
-		st.remaining -= l.Count
-		if st.remaining <= 0 {
-			st.remaining = 0
-			if gov != nil {
-				gov.Lost(st.src)
-			}
-			if !st.measured {
-				return
-			}
-			active--
-			res.Lost++
-			if tel != nil {
-				tel.Lost.Inc()
-			}
-			if prov != nil {
-				prov.Lost(l.MsgID)
-			}
-		}
-	})
-	var cycleInjected int
-	var deliveries []Delivery // reused across cycles (Step buffer contract)
+	}
+	var nextID uint64
 	dsts := make([]mesh.NodeID, 1)
-
-	injectTick := func(record bool) {
-		cycleInjected = 0
+	injectTick := func(measured bool) {
 		if gov != nil {
-			gov.Tick(cycle)
+			gov.Tick(l.cycle)
 		}
 		for _, in := range inj.Tick() {
-			offered++
+			res.Offered++
 			if gov != nil && !gov.Allow(in.Src) {
 				// Governor declined: the packet is paced out, an
 				// admission decision rather than a saturation symptom.
@@ -377,131 +484,32 @@ func RunRate(net Network, cfg RateConfig) Result {
 				// measurement, a saturation symptom.
 				continue
 			}
-			accepted++
-			cycleInjected++
 			nextID++
-			if record && prov != nil {
-				// Before net.Inject, so the network's inject event
-				// (and everything after) lands in the packet's log.
-				prov.Inject(nextID, in.Src, cycle)
-			}
 			dsts[0] = in.Dst
-			net.Inject(Message{ID: nextID, Src: in.Src, Dsts: dsts, Op: packet.OpSynthetic})
-			if record || gov != nil {
-				if base == 0 {
-					base = nextID
-				}
-				states = append(states, messageState{inject: cycle, remaining: 1, src: in.Src, measured: record})
-				if record {
-					active++
-					recorded++
-				}
-			}
+			l.inject(Message{ID: nextID, Src: in.Src, Dsts: dsts, Op: packet.OpSynthetic}, l.cycle, measured)
 		}
-	}
-	stepTick := func() {
-		deliveries = net.Step(deliveries[:0])
-		var completed int
-		var latencySum float64
-		for _, d := range deliveries {
-			if base == 0 || d.MsgID < base || d.MsgID-base >= uint64(len(states)) {
-				continue // not recorded (warmup traffic)
-			}
-			st := &states[d.MsgID-base]
-			st.remaining--
-			if st.remaining == 0 {
-				if st.measured {
-					active--
-				}
-				if st.lost {
-					// A partially-lost message completing its
-					// surviving deliveries counts as a loss.
-					if !st.measured {
-						continue
-					}
-					res.Lost++
-					if tel != nil {
-						tel.Lost.Inc()
-					}
-					if prov != nil {
-						prov.Lost(d.MsgID)
-					}
-					continue
-				}
-				lat := float64(cycle - st.inject + 1)
-				if gov != nil {
-					gov.Ack(st.src, lat)
-				}
-				if !st.measured {
-					continue
-				}
-				res.Run.Latency.Add(lat)
-				completed++
-				latencySum += lat
-				res.DeliveredBySender[st.src]++
-				if tel != nil {
-					tel.Latency.Observe(lat)
-				}
-				if prov != nil {
-					prov.Complete(d.MsgID, cycle)
-				}
-			}
-		}
-		if sampler != nil {
-			sampler.Tick(cycle, len(deliveries), completed, latencySum, cycleInjected, net.Run().Drops)
-		}
-		cycle++
-		if tel != nil {
-			tel.Tick(cycleInjected, len(deliveries), nrun.Drops, nrun.Retries, active)
-			if cycle%tel.FlushEvery == 0 {
-				telemetryFlush(tel, telASR, telIC, telemetry.FlushStats{
-					Cycle:             cycle,
-					Injected:          recorded,
-					Delivered:         int64(res.Run.Latency.Count()),
-					Lost:              res.Lost,
-					InFlight:          int64(active),
-					CheckConservation: true,
-				})
-			}
-		}
-		cycleInjected = 0
 	}
 
 	for i := 0; i < cfg.Warmup; i++ {
 		injectTick(false)
-		stepTick()
+		l.step()
 	}
 	for i := 0; i < cfg.Measure; i++ {
 		injectTick(true)
-		stepTick()
+		l.step()
 	}
 	// Drain: stop injecting, wait for measured packets to arrive.
-	for i := 0; i < cfg.DrainLimit && active > 0; i++ {
-		stepTick()
+	for i := 0; i < cfg.DrainLimit && l.inFlight > 0; i++ {
+		l.step()
 	}
-	// A closing flush audits conservation over the whole run even when
-	// the run is shorter than a flush period.
-	if tel != nil {
-		telemetryFlush(tel, telASR, telIC, telemetry.FlushStats{
-			Cycle:             cycle,
-			Injected:          recorded,
-			Delivered:         int64(res.Run.Latency.Count()),
-			Lost:              res.Lost,
-			InFlight:          int64(active),
-			CheckConservation: true,
-		})
-	}
+	l.close()
 	res.Run.Cycles = int64(cfg.Measure)
-	res.Offered = offered
-	res.Run.Injected = accepted
-	res.Run.Delivered = int64(res.Run.Latency.Count())
-	res.Unresolved = int64(active)
-	copyCounters(&res.Run, net.Run())
+	res.Unresolved = int64(l.inFlight)
 	// Paced-out packets were an admission decision, not an overload
 	// symptom, so the accepted-fraction test measures against what the
 	// governor actually presented to the NIC.
-	presented := offered - res.Paced
-	if active > 0 || (presented > 0 && float64(accepted) < 0.9*float64(presented)) {
+	presented := res.Offered - res.Paced
+	if l.inFlight > 0 || (presented > 0 && float64(res.Run.Injected) < 0.9*float64(presented)) {
 		res.Saturated = true
 	}
 	return res
@@ -529,9 +537,7 @@ type ReplayConfig struct {
 	// RateConfig.Obs.
 	Obs *obs.Collector
 	// Telemetry, when non-nil, attaches the live telemetry bundle as in
-	// RateConfig.Telemetry. Trace replays skip the conservation audit
-	// (the replay's own dependency accounting subsumes it) but keep the
-	// network invariant checks and the flight record.
+	// RateConfig.Telemetry, conservation audit included.
 	Telemetry *telemetry.Run
 	// Prov, when non-nil, attaches per-packet latency provenance as in
 	// RateConfig.Prov. Replay latency is measured from readiness, so a
@@ -556,14 +562,12 @@ func RunTrace(net Network, tr *trace.Trace, cfg ReplayConfig) (Result, error) {
 		limit = 20_000_000
 	}
 	// readyAt[id] is the cycle message id may inject; -1 = dependency
-	// not yet delivered. dependents is the child adjacency as intrusive
-	// linked lists over the (dense, 1-based) message IDs — no per-ID
-	// slice or map entry. states[id] replaces the old per-message map:
-	// a message is outstanding while states[id].remaining > 0.
+	// not yet delivered. firstDep/nextDep hold the child adjacency as
+	// intrusive linked lists over the (dense, 1-based) message IDs — no
+	// per-ID slice or map entry.
 	readyAt := make([]int64, len(tr.Messages)+1)
 	firstDep := make([]uint64, len(tr.Messages)+1)
 	nextDep := make([]uint64, len(tr.Messages)+1)
-	states := make([]messageState, len(tr.Messages)+1)
 	pending := make([]uint64, 0, len(tr.Messages)) // ids not yet injected, in ID order
 	for _, m := range tr.Messages {
 		pending = append(pending, m.ID)
@@ -583,69 +587,48 @@ func RunTrace(net Network, tr *trace.Trace, cfg ReplayConfig) (Result, error) {
 		}
 	}
 	res := Result{LatencyByOp: make(map[packet.Op]*stats.Latency)}
-	var cycle int64
-	remainingDeliveries := 0
-	prov := cfg.Prov
-	sampler := attachObs(net, cfg.Obs, prov)
-	tel := cfg.Telemetry
-	telASR, telIC := attachTelemetry(net, tel)
-	nrun := net.Run()
-	// wake readies the children of a completed message (delivered or
-	// abandoned): think time from now, never before EarliestCycle.
-	wake := func(id uint64) {
+	l := newLedger(net, &res, cfg.Obs, cfg.Telemetry, cfg.Prov, nil)
+	// Replay IDs are dense from 1 but inject out of order.
+	l.base, l.states = 1, make([]messageState, len(tr.Messages))
+	// A completed message readies its children: think time from now,
+	// never before EarliestCycle. A lost message resolves the same way —
+	// its children proceed — but contributes no latency sample, so a
+	// faulty replay degrades instead of deadlocking.
+	l.done = func(id uint64, st *messageState, lat float64) {
+		if !st.lost {
+			res.Makespan = l.cycle + 1
+			op := tr.Messages[id-1].Op
+			ol, ok := res.LatencyByOp[op]
+			if !ok {
+				ol = &stats.Latency{}
+				res.LatencyByOp[op] = ol
+			}
+			ol.Add(lat)
+		}
 		for dep := firstDep[id]; dep != 0; dep = nextDep[dep] {
-			think := tr.Messages[dep-1].Think
-			at := cycle + 1 + think
+			at := l.cycle + 1 + tr.Messages[dep-1].Think
 			if e := tr.Messages[dep-1].EarliestCycle; e > at {
 				at = e
 			}
 			readyAt[dep] = at
 		}
 	}
-	// A lost message resolves like a delivery for dependency purposes —
-	// its children proceed — but contributes no latency sample, so a
-	// faulty replay degrades instead of deadlocking.
-	attachLoss(net, func(l Loss) {
-		st := &states[l.MsgID]
-		if st.remaining == 0 {
-			return
-		}
-		st.lost = true
-		count := l.Count
-		if count > st.remaining {
-			count = st.remaining
-		}
-		st.remaining -= count
-		remainingDeliveries -= count
-		if st.remaining == 0 {
-			res.Lost++
-			if tel != nil {
-				tel.Lost.Inc()
-			}
-			if prov != nil {
-				prov.Lost(l.MsgID)
-			}
-			wake(l.MsgID)
-		}
-	})
-	var deliveries []Delivery // reused across cycles (Step buffer contract)
 	// dsts is the injection scratch: one entry for unicasts, everyone
 	// but the source for broadcasts. Inject does not retain it.
 	dsts := make([]mesh.NodeID, 0, tr.Nodes)
 
-	for len(pending) > 0 || remainingDeliveries > 0 {
-		if cycle >= limit {
+	for len(pending) > 0 || l.inFlight > 0 {
+		if l.cycle >= limit {
 			res.Saturated = true
 			break
 		}
 		// Inject every ready message whose NIC has room, in ID
 		// order per source.
 		rest := pending[:0]
-		cycleInjected := 0
 		for _, id := range pending {
 			m := tr.Messages[id-1]
 			r := readyAt[id]
-			if r < 0 || r > cycle || net.NICFree(m.Src) <= 0 {
+			if r < 0 || r > l.cycle || net.NICFree(m.Src) <= 0 {
 				rest = append(rest, id)
 				continue
 			}
@@ -659,97 +642,17 @@ func RunTrace(net Network, tr *trace.Trace, cfg ReplayConfig) (Result, error) {
 			} else {
 				dsts = append(dsts, m.Dst)
 			}
-			if prov != nil {
-				prov.Inject(id, m.Src, r)
-			}
-			net.Inject(Message{ID: id, Src: m.Src, Dsts: dsts, Op: m.Op})
 			// Latency is measured from readiness (dependency
 			// resolved, think time elapsed), so time spent
 			// stalled behind a full NIC counts against the
 			// network.
-			states[id] = messageState{inject: r, remaining: len(dsts)}
-			remainingDeliveries += len(dsts)
-			res.Run.Injected++
-			cycleInjected++
+			l.inject(Message{ID: id, Src: m.Src, Dsts: dsts, Op: m.Op}, r, true)
 		}
 		pending = rest
-
-		deliveries = net.Step(deliveries[:0])
-		var completed int
-		var latencySum float64
-		for _, d := range deliveries {
-			st := &states[d.MsgID]
-			if st.remaining == 0 {
-				continue
-			}
-			st.remaining--
-			remainingDeliveries--
-			if st.remaining > 0 {
-				continue
-			}
-			if st.lost {
-				res.Lost++
-				if tel != nil {
-					tel.Lost.Inc()
-				}
-				if prov != nil {
-					prov.Lost(d.MsgID)
-				}
-				wake(d.MsgID)
-				continue
-			}
-			lat := float64(cycle - st.inject + 1)
-			res.Run.Latency.Add(lat)
-			completed++
-			latencySum += lat
-			if tel != nil {
-				tel.Latency.Observe(lat)
-			}
-			if prov != nil {
-				prov.Complete(d.MsgID, cycle)
-			}
-			res.Run.Delivered++
-			res.Makespan = cycle + 1
-			m := tr.Messages[d.MsgID-1]
-			ol, ok := res.LatencyByOp[m.Op]
-			if !ok {
-				ol = &stats.Latency{}
-				res.LatencyByOp[m.Op] = ol
-			}
-			ol.Add(lat)
-			wake(d.MsgID)
-		}
-		if sampler != nil {
-			sampler.Tick(cycle, len(deliveries), completed, latencySum, cycleInjected, net.Run().Drops)
-		}
-		cycle++
-		if tel != nil {
-			// Message-level in-flight is derived: every injected message
-			// resolves as exactly one completion or loss.
-			inFlight := res.Run.Injected - int64(res.Run.Latency.Count()) - res.Lost
-			tel.Tick(cycleInjected, len(deliveries), nrun.Drops, nrun.Retries, int(inFlight))
-			if cycle%tel.FlushEvery == 0 {
-				telemetryFlush(tel, telASR, telIC, telemetry.FlushStats{
-					Cycle:     cycle,
-					Injected:  res.Run.Injected,
-					Delivered: int64(res.Run.Latency.Count()),
-					Lost:      res.Lost,
-					InFlight:  inFlight,
-				})
-			}
-		}
+		l.step()
 	}
-	if tel != nil {
-		telemetryFlush(tel, telASR, telIC, telemetry.FlushStats{
-			Cycle:     cycle,
-			Injected:  res.Run.Injected,
-			Delivered: int64(res.Run.Latency.Count()),
-			Lost:      res.Lost,
-			InFlight:  res.Run.Injected - int64(res.Run.Latency.Count()) - res.Lost,
-		})
-	}
-	res.Run.Cycles = cycle
-	copyCounters(&res.Run, net.Run())
+	l.close()
+	res.Run.Cycles = l.cycle
 	return res, nil
 }
 

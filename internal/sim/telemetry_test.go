@@ -1,7 +1,6 @@
 package sim_test
 
 import (
-	"reflect"
 	"testing"
 
 	"phastlane/internal/mesh"
@@ -10,51 +9,6 @@ import (
 	"phastlane/internal/telemetry"
 	"phastlane/internal/traffic"
 )
-
-// TestTelemetryDoesNotPerturbResults pins the observer-effect contract:
-// a run with the full telemetry bundle attached (phase timers sampling
-// every cycle, watchdog, counters) produces exactly the result of the
-// same run without it, for both simulators.
-func TestTelemetryDoesNotPerturbResults(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		newNet func() sim.Network
-	}{
-		{"optical", optical},
-		{"electrical", baseline},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			// UniformRandom is stateful, so each run needs a fresh pattern.
-			run := func(tel *telemetry.Run) sim.Result {
-				return sim.RunRate(tc.newNet(), sim.RateConfig{
-					Pattern: traffic.UniformRandom(64, 1),
-					Rate:    0.05, Warmup: 300, Measure: 1500, Seed: 7,
-					Telemetry: tel,
-				})
-			}
-			plain := run(nil)
-			tel := telemetry.NewRun(telemetry.Options{
-				SampleEvery: 1,
-				FlushEvery:  500,
-				Watchdog:    &telemetry.Watchdog{Abort: true},
-			})
-			observed := run(tel)
-
-			if !reflect.DeepEqual(plain, observed) {
-				t.Errorf("telemetry perturbed the run:\nplain:    %+v\nobserved: %+v", plain, observed)
-			}
-			// The telemetry counters cover the whole run, warmup and
-			// drain included, so they bound the measured counts from above.
-			if got := tel.Delivered.Load(); got < plain.Run.Delivered {
-				t.Errorf("delivered counter = %d, want >= %d", got, plain.Run.Delivered)
-			}
-			if tel.Cycles.Load() == 0 || tel.Injected.Load() < plain.Run.Injected {
-				t.Errorf("counters did not accumulate: cycles %d injected %d",
-					tel.Cycles.Load(), tel.Injected.Load())
-			}
-		})
-	}
-}
 
 // TestTelemetryWatchdogCleanRun asserts that a healthy run trips no
 // watchdog: conservation holds at every flush and both networks' own

@@ -122,9 +122,6 @@ type FlushStats struct {
 	Delivered int64
 	Lost      int64
 	InFlight  int64
-	// CheckConservation enables the delivered+lost+in-flight ==
-	// injected audit (synthetic runs; trace replays skip it).
-	CheckConservation bool
 	// ActiveRouters is -1 when the network has no active set.
 	ActiveRouters int
 	// InvariantErr is the network's own CheckInvariants result.
@@ -144,7 +141,7 @@ func (t *Run) Flush(s FlushStats) {
 			trip = tr.String()
 		}
 	}
-	if s.CheckConservation && s.Delivered+s.Lost+s.InFlight != s.Injected {
+	if s.Delivered+s.Lost+s.InFlight != s.Injected {
 		fail("conservation", fmt.Sprintf(
 			"delivered %d + lost %d + in-flight %d != injected %d",
 			s.Delivered, s.Lost, s.InFlight, s.Injected))

@@ -218,7 +218,7 @@ func TestWatchdogTripAndFlush(t *testing.T) {
 	// Conservation violated: 1+0+1 != 3.
 	run.Flush(FlushStats{
 		Cycle: 100, Injected: 3, Delivered: 1, Lost: 0, InFlight: 1,
-		CheckConservation: true, ActiveRouters: -1,
+		ActiveRouters: -1,
 	})
 	if len(tripped) != 1 || tripped[0].Name != "conservation" {
 		t.Fatalf("trips = %+v, want one conservation trip", tripped)
@@ -243,7 +243,7 @@ func TestWatchdogAbort(t *testing.T) {
 		}
 	}()
 	run.Flush(FlushStats{
-		Cycle: 1, Injected: 2, CheckConservation: true, ActiveRouters: -1,
+		Cycle: 1, Injected: 2, ActiveRouters: -1,
 	})
 }
 
