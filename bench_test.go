@@ -381,10 +381,17 @@ func BenchmarkBuildBroadcast(b *testing.B) {
 
 func BenchmarkISLIPMatch(b *testing.B) {
 	a := islip.New(5, 4, 4, 2)
-	want := func(in, out int) bool { return (in+out)%2 == 0 }
+	req := make([]uint64, 4)
+	for out := range req {
+		for in := 0; in < 5; in++ {
+			if (in+out)%2 == 0 {
+				req[out] |= 1 << in
+			}
+		}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Match(want)
+		a.Match(req)
 	}
 }
 

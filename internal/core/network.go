@@ -27,8 +27,12 @@ type parcel struct {
 	// original source, or the last router that buffered the parcel.
 	owner mesh.NodeID
 	// control and launch describe the remaining route from owner.
+	// routed marks them as what resegment builds from owner toward
+	// remaining: set where that route is built, cleared where owner or
+	// remaining changes, so a bypass relaunch rebuilds only stale routes.
 	control packet.Control
 	launch  mesh.Dir
+	routed  bool
 	// remaining lists the multicast destinations not yet served, in
 	// sweep order. Nil for unicast parcels. It slides forward over
 	// remBuf, the parcel-owned backing array the free list preserves
@@ -343,7 +347,7 @@ func (n *Network) enqueueUnicast(nic *pqueue, m sim.Message, dst mesh.NodeID) {
 	p := n.getParcel()
 	p.msgID, p.op, p.src, p.dst = m.ID, m.Op, m.Src, dst
 	p.owner = m.Src
-	p.control, p.launch = ctl, launch
+	p.control, p.launch, p.routed = ctl, launch, true
 	p.born = n.cycle
 	p.eligibleAt, p.enqueuedAt = n.cycle, n.cycle
 	nic.items = append(nic.items, p)
@@ -580,7 +584,7 @@ func (n *Network) launchCandidate(q *pqueue, granted []bool) *parcel {
 			if !n.faultPrepare(p) {
 				continue
 			}
-		} else if n.cfg.Bypass {
+		} else if n.cfg.Bypass && !p.routed {
 			n.resegment(p)
 		}
 		if p.launch == mesh.Local {
@@ -599,9 +603,9 @@ func (n *Network) launchCandidate(q *pqueue, granted []bool) *parcel {
 // implementing the Section 2.1.3 bypass: a buffering router may skip the
 // original interim nodes and head as far as MaxHops allows.
 func (n *Network) resegment(p *parcel) {
+	p.routed = true
 	if p.multicast {
-		ctl, launch := n.buildSweepFrom(p.owner, p.remaining, n.cfg.MaxHops)
-		p.control, p.launch = ctl, launch
+		p.control, p.launch = n.buildSweepFrom(p.owner, p.remaining, n.cfg.MaxHops)
 		return
 	}
 	ctl, launch := n.enc.EncodeControl(p.owner, p.dst)

@@ -77,6 +77,7 @@ func (n *Network) walk(flights []*flight, buf []sim.Delivery) []sim.Delivery {
 			// blocking or dropping.
 			if g.Multicast && len(f.p.remaining) > 0 && f.p.remaining[0] == f.at {
 				f.p.remaining = f.p.remaining[1:]
+				f.p.routed = false
 				buf = append(buf, sim.Delivery{MsgID: f.p.msgID, Dst: f.at})
 				n.run.ElectricalEnergyPJ += n.energy.ReceivePJ
 				n.emit(EventTap, f.p.msgID, f.at, mesh.Local)
@@ -177,6 +178,7 @@ func (n *Network) receiveOrDrop(f *flight, relaunch mesh.Dir) {
 		p.owner = f.at
 		p.control = f.control
 		p.launch = relaunch
+		p.routed = false
 		p.eligibleAt = n.cycle + 1
 		p.enqueuedAt = n.cycle
 		q.items = append(q.items, p)

@@ -3,7 +3,7 @@ package electrical
 // Active-set maintenance for the event-driven kernel.
 //
 // A router belongs in the active set exactly while it holds work: at least
-// one occupied VC (occ[node] > 0) or a queued NIC entry. Everything a
+// one occupied VC (a non-zero occupied mask) or a queued NIC entry. Everything a
 // pipeline phase does — ejection, injection, VC allocation, switch
 // allocation, aging — requires one of those, so walking only set members
 // is behaviourally identical to the dense walk (the differential
@@ -38,7 +38,7 @@ import (
 
 // busy reports whether node currently holds work.
 func (n *Network) busy(node mesh.NodeID) bool {
-	return n.occ[node] > 0 || len(n.routers[node].nic) > 0
+	return n.routers[node].occupied != 0 || len(n.routers[node].nic) > 0
 }
 
 // activate enrolls node in the active set; a no-op for members.

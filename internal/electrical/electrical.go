@@ -16,6 +16,7 @@ package electrical
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"phastlane/internal/fault"
@@ -37,7 +38,7 @@ import (
 type Config struct {
 	Width, Height int
 	// VCs is the number of virtual channels per input port, each
-	// holding one flit (Table 2).
+	// holding one flit (Table 2); 1..12 (maxVCs).
 	VCs int
 	// RouterDelay is the per-hop latency in cycles (2 or 3).
 	RouterDelay int
@@ -63,6 +64,10 @@ type Config struct {
 	Seed        int64
 }
 
+// maxVCs bounds Config.VCs: the five input ports' VCs share one 64-bit
+// occupancy mask and form the inputs of one iSLIP VC allocator.
+const maxVCs = 64 / mesh.NumDirs
+
 // DefaultConfig returns the Table 2 baseline.
 func DefaultConfig() Config {
 	return Config{
@@ -84,8 +89,8 @@ func (c Config) Validate() error {
 	if c.Width < 2 || c.Height < 2 {
 		return fmt.Errorf("electrical: mesh %dx%d too small", c.Width, c.Height)
 	}
-	if c.VCs < 1 {
-		return fmt.Errorf("electrical: VCs %d", c.VCs)
+	if c.VCs < 1 || c.VCs > maxVCs {
+		return fmt.Errorf("electrical: VCs %d outside 1..%d", c.VCs, maxVCs)
 	}
 	if c.RouterDelay < 2 {
 		return fmt.Errorf("electrical: router delay %d below the 2-cycle floor", c.RouterDelay)
@@ -126,9 +131,12 @@ type branch struct {
 
 // vcState is one single-flit virtual channel.
 type vcState struct {
-	pkt      *epacket
-	age      int
-	deliver  bool // pending ejection to the local node
+	pkt     *epacket
+	age     int
+	deliver bool // pending ejection to the local node
+	// bit is this VC's position port*VCs+vc in its router's occupied
+	// mask and in the VC allocators' input numbering.
+	bit      uint8
 	branches []branch
 	// availAt is when the (empty) VC may be reserved again by an
 	// upstream VA - the credit round-trip of wait-for-tail-credit.
@@ -140,12 +148,15 @@ func (v *vcState) empty() bool { return v.pkt == nil }
 
 // erouter is one baseline router: five input ports (N, E, S, W, local
 // injection) of VCs single-flit channels, per-output-port VC allocators,
-// and a switch allocator with input speedup.
+// and a switch allocator with input speedup. occupied has bit vc.bit set
+// exactly while that VC holds a packet (set in fill, cleared in
+// freeIfDone), so the per-cycle phases visit only occupied VCs.
 type erouter struct {
-	vcs [mesh.NumDirs][]vcState
-	va  [mesh.NumLinkDirs]*islip.Allocator
-	sa  *islip.Allocator
-	nic []*epacket
+	vcs      [mesh.NumDirs][]vcState
+	occupied uint64
+	va       [mesh.NumLinkDirs]*islip.Allocator
+	sa       *islip.Allocator
+	nic      []*epacket
 }
 
 // arrival is a flit in transit on a link, applied at the next cycle.
@@ -163,10 +174,10 @@ type Network struct {
 	// tree routes and fault detours all compile through it, while m
 	// stays the concrete mesh geometry the wormhole datapath (ports,
 	// credits, link walk) is built around.
-	top    topo.Topology
-	det    topo.FaultRouting
-	m      *mesh.Mesh
-	energy power.Electrical
+	top     topo.Topology
+	det     topo.FaultRouting
+	m       *mesh.Mesh
+	energy  power.Electrical
 	rng     *rand.Rand
 	routers []erouter
 	transit []arrival
@@ -174,12 +185,9 @@ type Network struct {
 	// bcast caches the full-broadcast VCTM tree per source so the common
 	// broadcast inject skips the map-key allocation of vctm.Key.
 	bcast []*vctm.Tree
-	// pktFree is the epacket free list; vcReqs/vcFree are the VC
-	// allocator's per-call scratch. All exist so the steady-state Step
-	// loop allocates nothing.
+	// pktFree is the epacket free list, so the steady-state Step loop
+	// allocates nothing.
 	pktFree []*epacket
-	vcReqs  []bool
-	vcFree  []bool
 	// tracer receives router events when set (SetTracer).
 	tracer func(obs.Event)
 	// phases receives sampled per-phase step timings when set
@@ -188,12 +196,11 @@ type Network struct {
 
 	// Event-driven kernel state (activeset.go). dense selects the
 	// reference walk-every-router loop (NewReference); allNodes is that
-	// walk's 0..Nodes-1 order. occ counts occupied VCs per router;
-	// listed, active, activeAdd and activeScratch implement the sorted
-	// active set with O(changed routers) maintenance.
+	// walk's 0..Nodes-1 order. listed, active, activeAdd and
+	// activeScratch implement the sorted active set with O(changed
+	// routers) maintenance.
 	dense         bool
 	allNodes      []mesh.NodeID
-	occ           []int32
 	listed        []bool
 	active        []mesh.NodeID
 	activeAdd     []mesh.NodeID
@@ -244,8 +251,8 @@ func (n *Network) CheckInvariants() error {
 	for node := range n.routers {
 		id := mesh.NodeID(node)
 		if n.busy(id) && !n.listed[id] {
-			return fmt.Errorf("electrical: router %d busy (occ %d, nic %d) but not active-set-listed",
-				node, n.occ[id], len(n.routers[id].nic))
+			return fmt.Errorf("electrical: router %d busy (occupied %#x, nic %d) but not active-set-listed",
+				node, n.routers[id].occupied, len(n.routers[id].nic))
 		}
 	}
 	return nil
@@ -281,10 +288,7 @@ func newNetwork(cfg Config, dense bool) *Network {
 		routers: make([]erouter, m.Nodes()),
 		trees:   make(map[string]*vctm.Tree),
 		bcast:   make([]*vctm.Tree, m.Nodes()),
-		vcReqs:  make([]bool, mesh.NumDirs*cfg.VCs),
-		vcFree:  make([]bool, cfg.VCs),
 		dense:   dense,
-		occ:     make([]int32, m.Nodes()),
 		listed:  make([]bool, m.Nodes()),
 	}
 	if dense {
@@ -304,6 +308,7 @@ func newNetwork(cfg Config, dense bool) *Network {
 			// allocation trickle. A packet forks into at most one branch
 			// per link direction.
 			for v := range r.vcs[p] {
+				r.vcs[p][v].bit = uint8(p*cfg.VCs + v)
 				r.vcs[p][v].branches = make([]branch, 0, mesh.NumLinkDirs)
 			}
 		}
@@ -477,7 +482,7 @@ func (n *Network) fill(vc *vcState, p *epacket, at mesh.NodeID) {
 	vc.branches = bs
 	vc.availAt = 0
 	vc.reserved = false
-	n.occ[at]++
+	n.routers[at].occupied |= 1 << vc.bit
 }
 
 // Step implements sim.Network: apply link arrivals, eject, inject, run VC
@@ -551,21 +556,24 @@ func (n *Network) ejectPhase(buf []sim.Delivery, nodes []mesh.NodeID) []sim.Deli
 			continue
 		}
 		r := &n.routers[node]
-		for p := 0; p < mesh.NumDirs; p++ {
-			for v := range r.vcs[p] {
-				vc := &r.vcs[p][v]
-				if vc.empty() || !vc.deliver || vc.age < 1 {
-					continue
-				}
-				buf = append(buf, sim.Delivery{MsgID: vc.pkt.msgID, Dst: node})
-				n.run.ElectricalEnergyPJ += n.energy.BufferReadPJ
-				n.emit(obs.KindEject, vc.pkt.msgID, node, mesh.Local)
-				vc.deliver = false
-				n.freeIfDone(node, vc)
+		for occ := r.occupied; occ != 0; occ &= occ - 1 {
+			vc := n.vcAt(r, bits.TrailingZeros64(occ))
+			if !vc.deliver || vc.age < 1 {
+				continue
 			}
+			buf = append(buf, sim.Delivery{MsgID: vc.pkt.msgID, Dst: node})
+			n.run.ElectricalEnergyPJ += n.energy.BufferReadPJ
+			n.emit(obs.KindEject, vc.pkt.msgID, node, mesh.Local)
+			vc.deliver = false
+			n.freeIfDone(node, vc)
 		}
 	}
 	return buf
+}
+
+// vcAt returns the VC whose occupied-mask bit is i.
+func (n *Network) vcAt(r *erouter, i int) *vcState {
+	return &r.vcs[i/n.cfg.VCs][i%n.cfg.VCs]
 }
 
 // injectPhase moves each NIC head into a free local-port VC, one per node
@@ -618,12 +626,8 @@ func (n *Network) agePhase(nodes []mesh.NodeID) {
 			continue
 		}
 		r := &n.routers[node]
-		for p := 0; p < mesh.NumDirs; p++ {
-			for v := range r.vcs[p] {
-				if !r.vcs[p][v].empty() {
-					r.vcs[p][v].age++
-				}
-			}
+		for occ := r.occupied; occ != 0; occ &= occ - 1 {
+			n.vcAt(r, bits.TrailingZeros64(occ)).age++
 		}
 	}
 }
@@ -631,8 +635,7 @@ func (n *Network) agePhase(nodes []mesh.NodeID) {
 // freeIfDone releases a VC whose packet has no pending work; the credit
 // returns to upstream VA one cycle later (wait-for-tail-credit). The VC's
 // reference to the packet drops, recycling it once no transit arrival
-// holds it either. node is the router owning vc (the active-set occupancy
-// count it decrements).
+// holds it either. node is the router owning vc.
 func (n *Network) freeIfDone(node mesh.NodeID, vc *vcState) {
 	if vc.deliver || len(vc.branches) > 0 {
 		return
@@ -641,21 +644,32 @@ func (n *Network) freeIfDone(node mesh.NodeID, vc *vcState) {
 	vc.pkt = nil
 	vc.age = 0
 	vc.availAt = n.cycle + 1
-	n.occ[node]--
+	n.routers[node].occupied &^= 1 << vc.bit
 }
 
-// allocateVCs runs the per-output-port iSLIP VC allocators (phase 4).
-// Requests and free downstream VCs are gathered up front (into network
-// scratch) so idle ports skip the matching entirely.
+// allocateVCs runs the per-output-port iSLIP VC allocators (phase 4). One
+// pass over a router's occupied VCs builds every output's request mask
+// (input bit vc.bit); only free downstream VCs take requests, so outputs
+// without requests or credits skip the matching entirely.
 func (n *Network) allocateVCs(nodes []mesh.NodeID) {
-	reqs := n.vcReqs
-	free := n.vcFree
 	for _, node := range nodes {
 		if n.faults != nil && n.faults.NodeStuck(n.cycle, node) {
 			continue
 		}
 		r := &n.routers[node]
-		for out := 0; out < mesh.NumLinkDirs; out++ {
+		var wants [mesh.NumLinkDirs]uint64
+		for occ := r.occupied; occ != 0; occ &= occ - 1 {
+			i := bits.TrailingZeros64(occ)
+			for _, b := range n.vcAt(r, i).branches {
+				if b.outVC < 0 {
+					wants[b.dir] |= 1 << i
+				}
+			}
+		}
+		for out, want := range wants {
+			if want == 0 {
+				continue
+			}
 			dir := mesh.Dir(out)
 			next, ok := n.m.Neighbor(node, dir)
 			if !ok {
@@ -668,37 +682,19 @@ func (n *Network) allocateVCs(nodes []mesh.NodeID) {
 			}
 			down := &n.routers[next]
 			inPort := dir.Opposite()
-			anyReq := false
-			for p := 0; p < mesh.NumDirs; p++ {
-				for v := range r.vcs[p] {
-					want := false
-					vc := &r.vcs[p][v]
-					if !vc.empty() {
-						for _, b := range vc.branches {
-							if b.dir == dir && b.outVC < 0 {
-								want = true
-								break
-							}
-						}
-					}
-					reqs[p*n.cfg.VCs+v] = want
-					anyReq = anyReq || want
-				}
-			}
-			if !anyReq {
-				continue
-			}
 			// Failed buffer slots mask the highest-numbered VCs of the
 			// downstream port for new reservations.
 			limit := n.cfg.VCs
 			if n.faults != nil {
 				limit -= n.faults.LostSlots(n.cycle, next, inPort)
 			}
+			var req [maxVCs]uint64
 			anyFree := false
-			for v := 0; v < n.cfg.VCs; v++ {
-				dvc := &down.vcs[inPort][v]
-				free[v] = v < limit && dvc.empty() && !dvc.reserved && dvc.availAt <= n.cycle
-				anyFree = anyFree || free[v]
+			for v := 0; v < limit; v++ {
+				if dvc := &down.vcs[inPort][v]; dvc.empty() && !dvc.reserved && dvc.availAt <= n.cycle {
+					req[v] = want
+					anyFree = true
+				}
 			}
 			if !anyFree {
 				// Credit starvation: packets want this output but
@@ -707,15 +703,12 @@ func (n *Network) allocateVCs(nodes []mesh.NodeID) {
 				n.emit(obs.KindCreditStall, 0, node, dir)
 				continue
 			}
-			match := r.va[out].Match(func(in, outVC int) bool {
-				return reqs[in] && free[outVC]
-			})
+			match := r.va[out].Match(req[:n.cfg.VCs])
 			for outVC, in := range match {
 				if in < 0 {
 					continue
 				}
-				p, v := in/n.cfg.VCs, in%n.cfg.VCs
-				vc := &r.vcs[p][v]
+				vc := n.vcAt(r, in)
 				for i := range vc.branches {
 					if vc.branches[i].dir == dir && vc.branches[i].outVC < 0 {
 						vc.branches[i].outVC = outVC
@@ -734,6 +727,7 @@ func (n *Network) allocateVCs(nodes []mesh.NodeID) {
 // launches the granted flits onto their links (phase 5).
 func (n *Network) allocateSwitch(nodes []mesh.NodeID) {
 	ready := n.cfg.RouterDelay - 1
+	portVCs := uint64(1)<<n.cfg.VCs - 1
 	for _, node := range nodes {
 		if n.faults != nil && n.faults.NodeStuck(n.cycle, node) {
 			continue
@@ -744,24 +738,27 @@ func (n *Network) allocateSwitch(nodes []mesh.NodeID) {
 		// pipeline. A dead output link takes no requests: an already
 		// allocated branch holds its downstream VC until the link
 		// heals or the watchdog reclaims the packet.
-		match := r.sa.Match(func(in, out int) bool {
-			dir := mesh.Dir(out)
-			if n.faults != nil && n.faults.LinkDown(n.cycle, node, dir) {
-				return false
+		var req [mesh.NumLinkDirs]uint64
+		for occ := r.occupied; occ != 0; occ &= occ - 1 {
+			i := bits.TrailingZeros64(occ)
+			vc := n.vcAt(r, i)
+			if vc.age < ready {
+				continue
 			}
-			for v := range r.vcs[in] {
-				vc := &r.vcs[in][v]
-				if vc.empty() || vc.age < ready {
-					continue
-				}
-				for _, b := range vc.branches {
-					if b.dir == dir && b.outVC >= 0 {
-						return true
-					}
+			for _, b := range vc.branches {
+				if b.outVC >= 0 {
+					req[b.dir] |= 1 << (i / n.cfg.VCs)
 				}
 			}
-			return false
-		})
+		}
+		if n.faults != nil {
+			for out := range req {
+				if n.faults.LinkDown(n.cycle, node, mesh.Dir(out)) {
+					req[out] = 0
+				}
+			}
+		}
+		match := r.sa.Match(req[:])
 		for out, in := range match {
 			if in < 0 {
 				continue
@@ -769,9 +766,10 @@ func (n *Network) allocateSwitch(nodes []mesh.NodeID) {
 			dir := mesh.Dir(out)
 			// Pick the oldest eligible VC on this input port.
 			bestV, bestAge, bestB := -1, -1, -1
-			for v := range r.vcs[in] {
+			for occ := r.occupied >> (in * n.cfg.VCs) & portVCs; occ != 0; occ &= occ - 1 {
+				v := bits.TrailingZeros64(occ)
 				vc := &r.vcs[in][v]
-				if vc.empty() || vc.age < ready || vc.age <= bestAge {
+				if vc.age < ready || vc.age <= bestAge {
 					continue
 				}
 				for bi, b := range vc.branches {

@@ -35,6 +35,7 @@ func TestConfigValidate(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Width = 0 },
 		func(c *Config) { c.VCs = 0 },
+		func(c *Config) { c.VCs = 13 }, // five ports of VCs overflow the 64-bit masks
 		func(c *Config) { c.RouterDelay = 1 },
 		func(c *Config) { c.InputSpeedup = 0 },
 		func(c *Config) { c.NICEntries = 0 },
@@ -48,6 +49,11 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Errorf("default config: %v", err)
+	}
+	widest := DefaultConfig()
+	widest.VCs = maxVCs
+	if err := widest.Validate(); err != nil {
+		t.Errorf("%d VCs: %v", maxVCs, err)
 	}
 }
 

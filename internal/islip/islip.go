@@ -5,13 +5,19 @@
 //
 // Each iteration performs a grant phase (every unmatched output grants the
 // requesting input nearest its round-robin pointer) and an accept phase
-// (every input accepts the granting output nearest its pointer, up to its
+// (every input accepts the granting outputs nearest its pointer, up to its
 // quota). Pointers advance past granted/accepted positions only for matches
 // made in the first iteration, which is what gives iSLIP its desynchronised,
 // starvation-free behaviour.
+//
+// Requests, grants and saturated inputs are 64-bit masks, so an allocator
+// has at most 64 inputs and 64 outputs.
 package islip
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Allocator matches inputs to outputs. The zero value is unusable;
 // construct with New. Allocators are stateful: the round-robin pointers
@@ -23,111 +29,98 @@ type Allocator struct {
 	grantPtr        []int // per output, next input to favour
 	acceptPtr       []int // per input, next output to favour
 	// scratch, reused across calls
-	accepted []int   // per input, matches this call
-	matchIn  []int   // per output, matched input or -1
-	grants   [][]int // per input, outputs granting it this iteration
+	accepted []int    // per input, matches this call
+	matchIn  []int    // per output, matched input or -1
+	offers   []uint64 // per input, mask of outputs granting it this iteration
 }
 
 // New returns an allocator for the given port counts. quota is the input
 // speedup: how many distinct outputs a single input may be matched to in
 // one cycle (1 for classic iSLIP, 4 for the baseline router's input
 // speedup). iterations is the number of grant/accept rounds per cycle.
+// More than 64 inputs or outputs do not fit the request masks and panic.
 func New(inputs, outputs, quota, iterations int) *Allocator {
-	if inputs < 1 || outputs < 1 || quota < 1 || iterations < 1 {
+	if inputs < 1 || outputs < 1 || quota < 1 || iterations < 1 || inputs > 64 || outputs > 64 {
 		panic(fmt.Sprintf("islip: invalid geometry in=%d out=%d quota=%d iter=%d",
 			inputs, outputs, quota, iterations))
 	}
-	a := &Allocator{
+	return &Allocator{
 		inputs: inputs, outputs: outputs,
 		quota: quota, iterations: iterations,
 		grantPtr:  make([]int, outputs),
 		acceptPtr: make([]int, inputs),
 		accepted:  make([]int, inputs),
 		matchIn:   make([]int, outputs),
-		grants:    make([][]int, inputs),
+		offers:    make([]uint64, inputs),
 	}
-	for i := range a.grants {
-		a.grants[i] = make([]int, 0, outputs)
-	}
-	return a
 }
 
-// Match computes a matching for the current request pattern: want(in, out)
-// reports whether input in requests output out. The result maps each output
-// to its matched input, or -1. No output is matched twice; no input is
-// matched more than its quota.
+// Match computes a matching for the current request pattern: req holds
+// one mask per output, and bit in of req[o] set means input in requests
+// output o. Bits at or above the input count must be clear. The result
+// maps each output to its matched input, or -1. No output is matched
+// twice; no input is matched more than its quota.
 //
 // The returned slice is the allocator's scratch buffer: it is valid until
 // the next Match call and must not be retained or mutated. Match performs
 // no allocation, which keeps the electrical router's steady-state cycle
 // loop allocation-free.
-func (a *Allocator) Match(want func(in, out int) bool) []int {
+func (a *Allocator) Match(req []uint64) []int {
 	for i := range a.accepted {
 		a.accepted[i] = 0
 	}
 	for o := range a.matchIn {
 		a.matchIn[o] = -1
 	}
+	var full uint64 // inputs matched up to their quota
 	for iter := 0; iter < a.iterations; iter++ {
 		// Grant phase: each unmatched output picks the first
 		// requesting, non-saturated input at or after its pointer.
 		// Each output grants at most one input, so the per-input
-		// grant lists are disjoint and the accept phase below is
+		// offers are disjoint and the accept phase below is
 		// order-independent across inputs.
-		for i := range a.grants {
-			a.grants[i] = a.grants[i][:0]
-		}
-		granted := false
+		var granted uint64
 		for o := 0; o < a.outputs; o++ {
-			if a.matchIn[o] >= 0 {
+			want := req[o] &^ full
+			if want == 0 || a.matchIn[o] >= 0 {
 				continue
 			}
-			for k := 0; k < a.inputs; k++ {
-				in := (a.grantPtr[o] + k) % a.inputs
-				if a.accepted[in] >= a.quota || !want(in, o) {
-					continue
-				}
-				a.grants[in] = append(a.grants[in], o)
-				granted = true
-				break
-			}
+			in := firstFrom(want, a.grantPtr[o])
+			a.offers[in] |= 1 << o
+			granted |= 1 << in
 		}
-		if !granted {
+		if granted == 0 {
 			break
 		}
 		// Accept phase: each input takes the granting outputs
 		// nearest its pointer, up to its remaining quota.
-		for in := 0; in < a.inputs; in++ {
-			outs := a.grants[in]
-			if len(outs) == 0 {
-				continue
-			}
-			take := a.quota - a.accepted[in]
-			if take > len(outs) {
-				take = len(outs)
-			}
-			for t := 0; t < take; t++ {
-				best, bestDist := -1, a.outputs+1
-				for _, o := range outs {
-					if a.matchIn[o] >= 0 {
-						continue
-					}
-					d := (o - a.acceptPtr[in] + a.outputs) % a.outputs
-					if d < bestDist {
-						best, bestDist = o, d
-					}
-				}
-				if best < 0 {
-					break
-				}
-				a.matchIn[best] = in
+		for ; granted != 0; granted &= granted - 1 {
+			in := bits.TrailingZeros64(granted)
+			offers := a.offers[in]
+			a.offers[in] = 0
+			for offers != 0 && a.accepted[in] < a.quota {
+				o := firstFrom(offers, a.acceptPtr[in])
+				offers &^= 1 << o
+				a.matchIn[o] = in
 				a.accepted[in]++
 				if iter == 0 {
-					a.grantPtr[best] = (in + 1) % a.inputs
-					a.acceptPtr[in] = (best + 1) % a.outputs
+					a.grantPtr[o] = (in + 1) % a.inputs
+					a.acceptPtr[in] = (o + 1) % a.outputs
 				}
+			}
+			if a.accepted[in] == a.quota {
+				full |= 1 << in
 			}
 		}
 	}
 	return a.matchIn
+}
+
+// firstFrom returns the position of the first set bit of a non-zero mask
+// at or after from, wrapping past bit 63 to bit 0.
+func firstFrom(mask uint64, from int) int {
+	if above := mask >> from << from; above != 0 {
+		return bits.TrailingZeros64(above)
+	}
+	return bits.TrailingZeros64(mask)
 }

@@ -1,13 +1,33 @@
 package islip
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// wantFrom builds a request predicate from a matrix.
-func wantFrom(m [][]bool) func(int, int) bool {
-	return func(in, out int) bool { return m[in][out] }
+// wantFrom builds the per-output request masks of a matrix indexed
+// [input][output].
+func wantFrom(m [][]bool) []uint64 {
+	req := make([]uint64, len(m[0]))
+	for in, row := range m {
+		for out, want := range row {
+			if want {
+				req[out] |= 1 << in
+			}
+		}
+	}
+	return req
+}
+
+// allWant is the request masks of every input wanting every output.
+func allWant(inputs, outputs int) []uint64 {
+	req := make([]uint64, outputs)
+	for o := range req {
+		req[o] = 1<<inputs - 1
+	}
+	return req
 }
 
 func TestSingleRequest(t *testing.T) {
@@ -33,8 +53,7 @@ func TestFullPermutationMatched(t *testing.T) {
 	// All inputs request all outputs: with enough iterations a maximal
 	// matching (here perfect) must be found.
 	a := New(4, 4, 1, 4)
-	all := func(in, out int) bool { return true }
-	got := a.Match(all)
+	got := a.Match(allWant(4, 4))
 	seen := map[int]bool{}
 	for o, in := range got {
 		if in < 0 {
@@ -94,7 +113,7 @@ func TestDesynchronisation(t *testing.T) {
 	// the pointers desynchronise and throughput reaches 100% (every
 	// output matched every cycle) after a warmup.
 	a := New(4, 4, 1, 1)
-	all := func(in, out int) bool { return true }
+	all := allWant(4, 4)
 	for i := 0; i < 8; i++ {
 		a.Match(all) // warmup
 	}
@@ -175,10 +194,189 @@ func TestMaximalWithIterations(t *testing.T) {
 }
 
 func TestNewPanicsOnBadGeometry(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("New(0,...) did not panic")
+	for _, g := range [][4]int{
+		{0, 4, 1, 1},
+		{65, 4, 1, 1}, // inputs beyond one request mask
+		{4, 65, 1, 1}, // outputs beyond one offer mask
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New%v did not panic", g)
+				}
+			}()
+			New(g[0], g[1], g[2], g[3])
+		}()
+	}
+}
+
+// refAllocator is the closure-driven allocator the mask version replaced,
+// kept verbatim as the differential reference for TestMatchesReference.
+type refAllocator struct {
+	inputs, outputs int
+	quota           int // max outputs matched to one input per cycle
+	iterations      int
+	grantPtr        []int // per output, next input to favour
+	acceptPtr       []int // per input, next output to favour
+	// scratch, reused across calls
+	accepted []int   // per input, matches this call
+	matchIn  []int   // per output, matched input or -1
+	grants   [][]int // per input, outputs granting it this iteration
+}
+
+func newRef(inputs, outputs, quota, iterations int) *refAllocator {
+	a := &refAllocator{
+		inputs: inputs, outputs: outputs,
+		quota: quota, iterations: iterations,
+		grantPtr:  make([]int, outputs),
+		acceptPtr: make([]int, inputs),
+		accepted:  make([]int, inputs),
+		matchIn:   make([]int, outputs),
+		grants:    make([][]int, inputs),
+	}
+	for i := range a.grants {
+		a.grants[i] = make([]int, 0, outputs)
+	}
+	return a
+}
+
+func (a *refAllocator) Match(want func(in, out int) bool) []int {
+	for i := range a.accepted {
+		a.accepted[i] = 0
+	}
+	for o := range a.matchIn {
+		a.matchIn[o] = -1
+	}
+	for iter := 0; iter < a.iterations; iter++ {
+		// Grant phase: each unmatched output picks the first
+		// requesting, non-saturated input at or after its pointer.
+		// Each output grants at most one input, so the per-input
+		// grant lists are disjoint and the accept phase below is
+		// order-independent across inputs.
+		for i := range a.grants {
+			a.grants[i] = a.grants[i][:0]
 		}
-	}()
-	New(0, 4, 1, 1)
+		granted := false
+		for o := 0; o < a.outputs; o++ {
+			if a.matchIn[o] >= 0 {
+				continue
+			}
+			for k := 0; k < a.inputs; k++ {
+				in := (a.grantPtr[o] + k) % a.inputs
+				if a.accepted[in] >= a.quota || !want(in, o) {
+					continue
+				}
+				a.grants[in] = append(a.grants[in], o)
+				granted = true
+				break
+			}
+		}
+		if !granted {
+			break
+		}
+		// Accept phase: each input takes the granting outputs
+		// nearest its pointer, up to its remaining quota.
+		for in := 0; in < a.inputs; in++ {
+			outs := a.grants[in]
+			if len(outs) == 0 {
+				continue
+			}
+			take := a.quota - a.accepted[in]
+			if take > len(outs) {
+				take = len(outs)
+			}
+			for t := 0; t < take; t++ {
+				best, bestDist := -1, a.outputs+1
+				for _, o := range outs {
+					if a.matchIn[o] >= 0 {
+						continue
+					}
+					d := (o - a.acceptPtr[in] + a.outputs) % a.outputs
+					if d < bestDist {
+						best, bestDist = o, d
+					}
+				}
+				if best < 0 {
+					break
+				}
+				a.matchIn[best] = in
+				a.accepted[in]++
+				if iter == 0 {
+					a.grantPtr[best] = (in + 1) % a.inputs
+					a.acceptPtr[in] = (best + 1) % a.outputs
+				}
+			}
+		}
+	}
+	return a.matchIn
+}
+
+// randomRequests fills req with a random pattern over inputs: either an
+// independent mask per output at a random density, or the electrical VC
+// allocator's shape, where every free output sees the same request mask.
+// Empty patterns occur too, to pin that requestless calls move no pointer.
+func randomRequests(rng *rand.Rand, req []uint64, inputs int) {
+	density := []int{0, 3, 10, 25, 50, 90}[rng.Intn(6)]
+	mask := func() uint64 {
+		var m uint64
+		for in := 0; in < inputs; in++ {
+			if rng.Intn(100) < density {
+				m |= 1 << in
+			}
+		}
+		return m
+	}
+	if rng.Intn(2) == 0 {
+		for o := range req {
+			req[o] = mask()
+		}
+		return
+	}
+	shared := mask()
+	for o := range req {
+		req[o] = 0
+		if rng.Intn(2) == 0 {
+			req[o] = shared
+		}
+	}
+}
+
+// TestMatchesReference runs the mask allocator in lockstep with the
+// closure reference over random request streams, carrying the pointers
+// across calls, and requires identical matchings and pointer state after
+// every call.
+func TestMatchesReference(t *testing.T) {
+	type geometry struct{ inputs, outputs, quota, iterations, trials int }
+	geos := []geometry{
+		{50, 10, 1, 2, 50000}, // electrical VC allocator
+		{5, 4, 4, 2, 50000},   // electrical switch allocator
+		{1, 1, 1, 1, 2000},
+		{1, 1, 3, 5, 1000},
+	}
+	for iter := 1; iter <= 5; iter++ {
+		geos = append(geos, geometry{64, 64, 1, iter, 1000}, geometry{64, 64, 3, iter, 500})
+	}
+	rng := rand.New(rand.NewSource(13))
+	for i := 0; i < 20; i++ {
+		geos = append(geos, geometry{1 + rng.Intn(64), 1 + rng.Intn(64), 1 + rng.Intn(4), 1 + rng.Intn(5), 300})
+	}
+	for _, g := range geos {
+		name := fmt.Sprintf("%dx%d/q%d/i%d", g.inputs, g.outputs, g.quota, g.iterations)
+		t.Run(name, func(t *testing.T) {
+			a := New(g.inputs, g.outputs, g.quota, g.iterations)
+			ref := newRef(g.inputs, g.outputs, g.quota, g.iterations)
+			req := make([]uint64, g.outputs)
+			want := func(in, out int) bool { return req[out]>>in&1 == 1 }
+			for trial := 0; trial < g.trials; trial++ {
+				randomRequests(rng, req, g.inputs)
+				got := a.Match(req)
+				exp := ref.Match(want)
+				if !slices.Equal(got, exp) || !slices.Equal(a.grantPtr, ref.grantPtr) ||
+					!slices.Equal(a.acceptPtr, ref.acceptPtr) {
+					t.Fatalf("trial %d, req %x:\nmatch %v, want %v\ngrantPtr %v, want %v\nacceptPtr %v, want %v",
+						trial, req, got, exp, a.grantPtr, ref.grantPtr, a.acceptPtr, ref.acceptPtr)
+				}
+			}
+		})
+	}
 }
