@@ -278,44 +278,11 @@ func BenchmarkAblationMulticast(b *testing.B) {
 
 // --- Microbenchmarks of the hot paths ---
 
-func BenchmarkOpticalStepLoaded(b *testing.B) {
-	net := core.New(core.DefaultConfig())
-	inj := traffic.NewInjector(traffic.UniformRandom(64, 1), 64, 0.10, 2)
-	var id uint64
-	var buf []sim.Delivery
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, in := range inj.Tick() {
-			if net.NICFree(in.Src) > 0 {
-				id++
-				net.Inject(sim.Message{ID: id, Src: in.Src, Dsts: []mesh.NodeID{in.Dst}, Op: packet.OpSynthetic})
-			}
-		}
-		buf = net.Step(buf[:0])
-	}
-}
-
-func BenchmarkElectricalStepLoaded(b *testing.B) {
-	net := electrical.New(electrical.DefaultConfig())
-	inj := traffic.NewInjector(traffic.UniformRandom(64, 1), 64, 0.10, 2)
-	var id uint64
-	var buf []sim.Delivery
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, in := range inj.Tick() {
-			if net.NICFree(in.Src) > 0 {
-				id++
-				net.Inject(sim.Message{ID: id, Src: in.Src, Dsts: []mesh.NodeID{in.Dst}, Op: packet.OpSynthetic})
-			}
-		}
-		buf = net.Step(buf[:0])
-	}
-}
-
 // stepSteadyState measures one warmed-up inject+Step cycle under
 // sustained uniform-random load: the pools and scratch buffers are grown
 // before the timer starts, so the measured loop must report 0 allocs/op.
-// cmd/bench runs this pair and records the results in BENCH_kernel.json.
+// It is the profiling form of the 8×8 uniform 0.10 points that the
+// fig9-sweep workload in benchmark/ times end to end.
 func stepSteadyState(b *testing.B, net sim.Network, rate float64) {
 	inj := traffic.NewInjector(traffic.UniformRandom(net.Nodes(), 1), net.Nodes(), rate, 2)
 	var id uint64

@@ -76,7 +76,12 @@ func main() {
 		}
 		opts.Rates = append(opts.Rates, r)
 	}
-	pts := figures.Governed(opts)
+	pts, err := figures.Governed(opts)
+	if err != nil {
+		// A bad -configs or -patterns name is a usage error, like a bad flag.
+		fmt.Fprintln(os.Stderr, "congestion:", err)
+		os.Exit(2)
+	}
 
 	table := figures.GovernedTable(pts)
 	if *csv {

@@ -108,6 +108,9 @@ func TestGridDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestSweepParallelMatchesSerial includes the stateful UniformRandom
+// pattern: every point builds its own, so under -race the w=8 sweep
+// shares no generator between workers.
 func TestSweepParallelMatchesSerial(t *testing.T) {
 	newNet := func() sim.Network {
 		cfg := core.DefaultConfig()
@@ -115,9 +118,19 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 		return core.New(cfg)
 	}
 	rates := []float64{0.02, 0.05, 0.10}
-	serial := sim.SweepParallel(newNet, traffic.Shuffle(64), rates, 11, exp.Options{Workers: 1})
-	parallel := sim.SweepParallel(newNet, traffic.Shuffle(64), rates, 11, exp.Options{Workers: 8})
-	if fmt.Sprintf("%#v", serial) != fmt.Sprintf("%#v", parallel) {
-		t.Errorf("sweep differs across worker counts:\n  workers=1: %#v\n  workers=8: %#v", serial, parallel)
+	for _, tc := range []struct {
+		name       string
+		newPattern func() traffic.Pattern
+	}{
+		{"Shuffle", func() traffic.Pattern { return traffic.Shuffle(64) }},
+		{"Uniform", func() traffic.Pattern { return traffic.UniformRandom(64, 11) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			serial := sim.SweepParallel(newNet, tc.newPattern, rates, 11, exp.Options{Workers: 1})
+			parallel := sim.SweepParallel(newNet, tc.newPattern, rates, 11, exp.Options{Workers: 8})
+			if fmt.Sprintf("%#v", serial) != fmt.Sprintf("%#v", parallel) {
+				t.Errorf("sweep differs across worker counts:\n  workers=1: %#v\n  workers=8: %#v", serial, parallel)
+			}
+		})
 	}
 }

@@ -126,36 +126,27 @@ func JainFairness(delivered []int64) float64 {
 	return sum * sum / (float64(len(delivered)) * sumSq)
 }
 
-// governedPattern builds a pattern by name for a nodes-endpoint run;
-// stateful patterns (Uniform) get the derived seed so every point owns a
-// fresh generator.
-func governedPattern(name string, nodes int, seed int64) traffic.Pattern {
-	switch name {
-	case "Uniform":
-		return traffic.UniformRandom(nodes, seed)
-	case "BitComp":
-		return traffic.BitComplement(nodes)
-	case "BitRev":
-		return traffic.BitReverse(nodes)
-	case "Shuffle":
-		return traffic.Shuffle(nodes)
-	case "Transpose":
-		return traffic.Transpose(nodes)
-	default:
-		panic("figures: unknown governed pattern " + name)
-	}
-}
-
 // Governed runs the sweep and returns all points in a stable (config,
-// pattern, mode, rate) order. Every point builds a fresh network and a
-// fresh governor, so two runs with the same options are bit-identical
-// regardless of worker count.
-func Governed(opts GovernedOpts) []GovernedPoint {
+// pattern, mode, rate) order. Every point builds a fresh network, pattern
+// and governor, so two runs with the same options are bit-identical
+// regardless of worker count. An unknown config or pattern name is an
+// error, returned before any point runs.
+func Governed(opts GovernedOpts) ([]GovernedPoint, error) {
 	if len(opts.Configs) == 0 {
 		opts.Configs = []string{"Optical4", "Electrical3"}
 	}
 	if len(opts.Patterns) == 0 {
 		opts.Patterns = []string{"Uniform", "BitComp"}
+	}
+	for _, c := range opts.Configs {
+		if c != "Optical4" && c != "Electrical3" {
+			return nil, fmt.Errorf("unknown config %q (want Optical4 or Electrical3)", c)
+		}
+	}
+	for _, p := range opts.Patterns {
+		if _, err := PatternByName(p, 64, opts.Seed); err != nil {
+			return nil, err
+		}
 	}
 	if len(opts.Rates) == 0 {
 		opts.Rates = []float64{0.30, 0.40, 0.50, 0.60, 0.70}
@@ -196,8 +187,10 @@ func Governed(opts GovernedOpts) []GovernedPoint {
 			cfg.Seed = exp.DeriveSeed(opts.Seed, uint64(ji))
 			gov = cc.New(cfg, net.Nodes())
 		}
+		// The names were validated above.
+		pattern, _ := PatternByName(j.pattern, net.Nodes(), exp.DeriveSeed(opts.Seed, uint64(ji)*64+32))
 		r := sim.RunRate(net, sim.RateConfig{
-			Pattern: governedPattern(j.pattern, net.Nodes(), exp.DeriveSeed(opts.Seed, uint64(ji)*64+32)),
+			Pattern: pattern,
 			Rate:    j.rate,
 			Warmup:  opts.Warmup, Measure: opts.Measure,
 			Seed: opts.Seed,
@@ -220,7 +213,7 @@ func Governed(opts GovernedOpts) []GovernedPoint {
 		}
 		return pt
 	}, exp.Options{Workers: opts.Workers, Progress: opts.Progress})
-	return pts
+	return pts, nil
 }
 
 // GovernedTable renders the sweep in long form, one row per point.

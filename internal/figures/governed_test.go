@@ -2,6 +2,7 @@ package figures
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -32,8 +33,11 @@ func governedSmallOpts(workers int) GovernedOpts {
 // TestGovernedWorkerIndependence checks the study's reproducibility
 // contract: one worker and eight workers produce DeepEqual point sets.
 func TestGovernedWorkerIndependence(t *testing.T) {
-	a := Governed(governedSmallOpts(1))
-	b := Governed(governedSmallOpts(8))
+	a, errA := Governed(governedSmallOpts(1))
+	b, errB := Governed(governedSmallOpts(8))
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("worker counts diverged:\nw=1: %+v\nw=8: %+v", a, b)
 	}
@@ -43,7 +47,10 @@ func TestGovernedWorkerIndependence(t *testing.T) {
 // (pattern, mode, rate) combinations present in stable order, governed
 // modes report an admitted rate, only governed modes pace.
 func TestGovernedSweepShape(t *testing.T) {
-	pts := Governed(governedSmallOpts(0))
+	pts, err := Governed(governedSmallOpts(0))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 6 { // 1 config x 1 pattern x 3 modes x 2 rates
 		t.Fatalf("got %d points, want 6", len(pts))
 	}
@@ -74,6 +81,28 @@ func TestGovernedSweepShape(t *testing.T) {
 	}
 	if staticPaced == 0 {
 		t.Fatal("static cap 0.30 at offered 0.60 paced nothing")
+	}
+}
+
+// TestGovernedRejectsUnknownNames checks that a bad config or pattern
+// name is an error naming it, returned before any point runs.
+func TestGovernedRejectsUnknownNames(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*GovernedOpts)
+	}{
+		{"config", func(o *GovernedOpts) { o.Configs = append(o.Configs, "Foo") }},
+		{"pattern", func(o *GovernedOpts) { o.Patterns = append(o.Patterns, "Foo") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := governedSmallOpts(1)
+			opts.Progress = func(done, total int) { t.Errorf("point %d of %d ran", done, total) }
+			tc.edit(&opts)
+			pts, err := Governed(opts)
+			if err == nil || !strings.Contains(err.Error(), `"Foo"`) {
+				t.Fatalf("got %d points, error %v; want an error naming \"Foo\"", len(pts), err)
+			}
+		})
 	}
 }
 

@@ -95,3 +95,14 @@ func TestElectricalStepZeroAlloc32(t *testing.T) {
 	cfg.Width, cfg.Height = 32, 32
 	stepZeroAlloc(t, electrical.New(cfg), 800)
 }
+
+// TestOpticalStepZeroAlloc32 is the same contract for the optical kernel
+// on a 32×32 mesh: the parcel and flight free lists and the walk scratch
+// must stop growing once the in-flight population stabilises. 64×64 takes
+// minutes at this rate; the sparse-large benchmark workload reports its
+// allocs_per_cycle.
+func TestOpticalStepZeroAlloc32(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Width, cfg.Height = 32, 32
+	stepZeroAlloc(t, core.New(cfg), 800)
+}

@@ -3,9 +3,10 @@ package sim_test
 // Benchmarks for the mesh-size scaling story: the event-driven electrical
 // kernel against the dense-walk reference at low injection rates, where
 // idle routers dominate and the active set should keep per-cycle cost
-// proportional to traffic, not mesh area. cmd/bench -scale is the
-// reporting front-end for the same comparison; these benchmarks are the
-// profiling-friendly form (go test -bench BenchmarkKernel -cpuprofile …).
+// proportional to traffic, not mesh area. The sparse-large workload in
+// benchmark/ times the same regime end to end on 32×32 and 64×64; these
+// benchmarks are the profiling form and the only event-vs-dense
+// comparison (go test -bench KernelLowRate -cpuprofile …).
 
 import (
 	"fmt"

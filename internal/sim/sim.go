@@ -713,27 +713,22 @@ func sweepCut(prefix []SweepPoint) (int, bool) {
 
 // Sweep runs RunRate over the given rates on a worker pool sized to
 // runtime.GOMAXPROCS, stopping early once two consecutive points saturate
-// (see SweepPoint for the exact contract). newNet must build a fresh
-// network per point; every point runs on its own network instance with
-// the same base seed, so results are bit-identical to a serial sweep
-// regardless of scheduling.
-func Sweep(newNet func() Network, pattern traffic.Pattern, rates []float64, seed int64) []SweepPoint {
-	return SweepParallel(newNet, pattern, rates, seed, exp.Options{})
+// (see SweepPoint for the exact contract). newNet and newPattern must
+// build a fresh network and pattern per point; every point runs on its
+// own instances with the same base seed, so results are bit-identical to
+// a serial sweep regardless of scheduling.
+func Sweep(newNet func() Network, newPattern func() traffic.Pattern, rates []float64, seed int64) []SweepPoint {
+	return SweepParallel(newNet, newPattern, rates, seed, exp.Options{})
 }
 
 // SweepParallel is Sweep with explicit engine options (worker count,
 // progress callback). The early exit is honoured via chunked speculative
 // dispatch: points past the cutoff may be evaluated and discarded, but
 // the returned slice is exactly what the serial sweep produces.
-//
-// pattern.Dest is called concurrently from every worker, so the pattern
-// must be stateless (all the Fig. 9 bit-permutation patterns are).
-// Stateful patterns such as traffic.UniformRandom are not safe here; run
-// those with Workers: 1 or build one pattern per point yourself.
-func SweepParallel(newNet func() Network, pattern traffic.Pattern, rates []float64, seed int64, opt exp.Options) []SweepPoint {
+func SweepParallel(newNet func() Network, newPattern func() traffic.Pattern, rates []float64, seed int64, opt exp.Options) []SweepPoint {
 	pts := exp.RunUntil(rates, func(_ int, rate float64) SweepPoint {
 		net := newNet()
-		r := RunRate(net, RateConfig{Pattern: pattern, Rate: rate, Seed: seed})
+		r := RunRate(net, RateConfig{Pattern: newPattern(), Rate: rate, Seed: seed})
 		return PointFrom(rate, r, net.Nodes())
 	}, sweepCut, opt)
 	if len(pts) == 0 {

@@ -69,7 +69,7 @@ func TestSweepFindsKnee(t *testing.T) {
 		cfg := core.DefaultConfig()
 		cfg.Seed = 7
 		return core.New(cfg)
-	}, traffic.Transpose(64), rates, 7)
+	}, transpose64, rates, 7)
 	if len(pts) < 2 {
 		t.Fatalf("sweep returned %d points", len(pts))
 	}

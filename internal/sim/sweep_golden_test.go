@@ -47,6 +47,8 @@ func goldenElectricalNet() sim.Network {
 	return electrical.New(cfg)
 }
 
+func transpose64() traffic.Pattern { return traffic.Transpose(64) }
+
 func TestSweepMatchesPreRefactorGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale sweep")
@@ -60,7 +62,7 @@ func TestSweepMatchesPreRefactorGolden(t *testing.T) {
 		{"electrical", goldenElectricalNet, goldenElectrical},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got := sim.Sweep(tc.newNet, traffic.Transpose(64), goldenRates, 7)
+			got := sim.Sweep(tc.newNet, transpose64, goldenRates, 7)
 			// Project onto the fields the golden capture predates:
 			// the later-added latency percentiles are checked for
 			// internal consistency below, not against the capture.
@@ -96,7 +98,7 @@ func TestSweepEarlyExitContract(t *testing.T) {
 		cfg := core.DefaultConfig()
 		cfg.Seed = 7
 		return core.New(cfg)
-	}, traffic.Transpose(64), rates, 7)
+	}, transpose64, rates, 7)
 	if len(pts) != 3 {
 		t.Fatalf("sweep ran %d points, want 3 (early exit after two consecutive saturated)", len(pts))
 	}
