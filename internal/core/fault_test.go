@@ -222,3 +222,31 @@ func TestFaultTransitionsTraced(t *testing.T) {
 		t.Fatalf("%d fault transitions traced, want activation + heal", faults)
 	}
 }
+
+// TestRotationCountsUnstuckCycles checks the derived rotating-arbiter
+// pointer against the per-router counter it replaced, which advanced once
+// every cycle the router was not stuck: across overlapping, adjacent and
+// open-ended stuck windows, and on an unfaulted router.
+func TestRotationCountsUnstuckCycles(t *testing.T) {
+	n := mustNew(t, func(c *Config) {
+		c.Faults = &fault.Plan{Faults: []fault.Fault{
+			{Kind: fault.StuckRouter, Node: 20, From: 10, Until: 20},
+			{Kind: fault.StuckRouter, Node: 20, From: 15, Until: 30},
+			{Kind: fault.StuckRouter, Node: 20, From: 30, Until: 33},
+			{Kind: fault.StuckRouter, Node: 20, From: 47, Until: 48},
+			{Kind: fault.StuckRouter, Node: 20, From: 60},
+		}}
+	})
+	for _, node := range []mesh.NodeID{20, 21} {
+		counter := 0
+		for c := int64(0); c < 100; c++ {
+			n.cycle = c
+			if got := n.rotation(node); got != counter {
+				t.Fatalf("node %d cycle %d: rotation %d, counter %d", node, c, got, counter)
+			}
+			if !n.faults.NodeStuck(c, node) {
+				counter = (counter + 1) % mesh.NumDirs
+			}
+		}
+	}
+}

@@ -119,10 +119,21 @@ func (q *pqueue) take(p *parcel) {
 }
 
 // router holds the five electrical buffers (N, E, S, W input ports plus the
-// local NIC) and the rotating-priority launch pointer.
+// local NIC). Its rotating-priority launch pointer is derived from the
+// cycle (rotation), so an idle router has no state to advance.
 type router struct {
 	queues [mesh.NumDirs]pqueue
-	rotate int
+}
+
+// busy reports whether the router holds a parcel in any buffer: the only
+// state launch acts on.
+func (r *router) busy() bool {
+	for d := range r.queues {
+		if len(r.queues[d].items) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Network is the Phastlane simulator. Create with New; drive with Inject
@@ -143,6 +154,9 @@ type Network struct {
 	rng    *rand.Rand
 
 	routers []router
+	// active holds every busy router (busy ⇒ member), so launch walks
+	// only routers with parcels; see DESIGN.md §10.
+	active mesh.ActiveSet
 	// claims[node*4+dir] holds the cycle in which the directed link
 	// out of node toward dir was last used; a link carries one packet
 	// per cycle.
@@ -175,27 +189,44 @@ type Network struct {
 	// and flightFree pool the two hot-path object kinds; flights is the
 	// registry of flight objects lent out this cycle; walkActive and
 	// walkCont are the wavefront/contender scratch of walk; sweepDirs
-	// backs multicast route rebuilds.
-	parcelFree []*parcel
-	flightFree []*flight
-	flights    []*flight
-	walkActive []*flight
-	walkCont   []*flight
-	sweepDirs  []mesh.Dir
+	// backs multicast route rebuilds; launchNodes lists the active set
+	// for launch.
+	parcelFree  []*parcel
+	flightFree  []*flight
+	flights     []*flight
+	walkActive  []*flight
+	walkCont    []*flight
+	sweepDirs   []mesh.Dir
+	launchNodes []mesh.NodeID
 
 	run   stats.Run
 	cycle int64
 }
 
 var (
-	_ sim.Network                = (*Network)(nil)
-	_ telemetry.Instrumentable   = (*Network)(nil)
-	_ telemetry.InvariantChecker = (*Network)(nil)
+	_ sim.Network                 = (*Network)(nil)
+	_ telemetry.Instrumentable    = (*Network)(nil)
+	_ telemetry.ActiveSetReporter = (*Network)(nil)
+	_ telemetry.InvariantChecker  = (*Network)(nil)
 )
 
-// New builds a Phastlane network. It panics on invalid configuration (a
-// programming error, not a runtime condition).
+// New builds a Phastlane network whose launch stage visits only routers
+// holding parcels. It panics on invalid configuration (a programming
+// error, not a runtime condition).
 func New(cfg Config) *Network {
+	return newNetwork(cfg, false)
+}
+
+// NewReference builds a Phastlane network whose launch stage visits every
+// router every cycle: its active set is dense. It runs the same Step code
+// as New and exists for differential testing (equivalence_test.go);
+// production callers want New.
+func NewReference(cfg Config) *Network {
+	return newNetwork(cfg, true)
+}
+
+// newNetwork is the shared constructor behind New and NewReference.
+func newNetwork(cfg Config, dense bool) *Network {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -210,11 +241,22 @@ func New(cfg Config) *Network {
 		energy:  cfg.energyModel(),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		routers: make([]router, m.Nodes()),
+		active:  mesh.NewActiveSet(m.Nodes(), dense),
 		claims:  make([]int64, m.Nodes()*mesh.NumLinkDirs),
+		// Sized for every router, so the walk list never grows.
+		launchNodes: make([]mesh.NodeID, 0, m.Nodes()),
 	}
 	for i := range n.claims {
 		n.claims[i] = -1
 	}
+	// Bounded queues get their full backing up front so the
+	// steady-state loop never grows them, carved from one slab so New
+	// allocates once for all of them.
+	perRouter := cfg.NICEntries
+	if cfg.BufferEntries > 0 {
+		perRouter += mesh.NumLinkDirs * cfg.BufferEntries
+	}
+	slab := make([]*parcel, m.Nodes()*perRouter)
 	for i := range n.routers {
 		for d := 0; d < mesh.NumDirs; d++ {
 			q := &n.routers[i].queues[d]
@@ -222,10 +264,8 @@ func New(cfg Config) *Network {
 			if mesh.Dir(d) == mesh.Local {
 				q.cap = cfg.NICEntries
 			}
-			// Bounded queues get their full backing up front so the
-			// steady-state loop never grows them.
 			if q.cap > 0 {
-				q.items = make([]*parcel, 0, q.cap)
+				q.items, slab = slab[:0:q.cap], slab[q.cap:]
 			}
 		}
 	}
@@ -334,6 +374,7 @@ func (n *Network) Inject(m sim.Message) {
 			nic.items = append(nic.items, p)
 			n.live++
 		}
+		n.active.Add(m.Src)
 	default:
 		panic(fmt.Sprintf("core: message with %d destinations: only unicast or full broadcast supported", len(m.Dsts)))
 	}
@@ -352,6 +393,7 @@ func (n *Network) enqueueUnicast(nic *pqueue, m sim.Message, dst mesh.NodeID) {
 	p.eligibleAt, p.enqueuedAt = n.cycle, n.cycle
 	nic.items = append(nic.items, p)
 	n.live++
+	n.active.Add(m.Src)
 }
 
 // Step implements sim.Network: resolve last cycle's drop window, launch new
@@ -384,15 +426,24 @@ func (n *Network) Step(buf []sim.Delivery) []sim.Delivery {
 // disables it — the default, costing one branch per Step.
 func (n *Network) SetPhases(p *telemetry.Phases) { n.phases = p }
 
-// CheckInvariants audits live-parcel conservation: every live parcel is
+// ActiveRouters implements telemetry.ActiveSetReporter: the size of the
+// launch stage's active set (every router, on NewReference).
+func (n *Network) ActiveRouters() int { return n.active.Len() }
+
+// CheckInvariants audits the active set and live-parcel conservation:
+// every busy router is an active-set member, and every live parcel is
 // either queued in some router buffer or held by a pending launch record
 // whose drop signal has not yet been resolved. Meant for watchdog flush
 // boundaries (between Steps), never the per-cycle path.
 func (n *Network) CheckInvariants() error {
 	queued := 0
 	for i := range n.routers {
-		for d := range n.routers[i].queues {
-			queued += len(n.routers[i].queues[d].items)
+		r := &n.routers[i]
+		if r.busy() && !n.active.Has(mesh.NodeID(i)) {
+			return fmt.Errorf("core: router %d busy but not in the active set", i)
+		}
+		for d := range r.queues {
+			queued += len(r.queues[d].items)
 		}
 	}
 	dropped := 0
@@ -446,6 +497,9 @@ func (n *Network) resolveDropWindow() {
 			}
 			p.eligibleAt = n.cycle + 1 + n.backoff(p.retries)
 			rec.q.items = append(rec.q.items, p)
+			// A drop leaves the parcel with the router that
+			// launched it.
+			n.active.Add(p.owner)
 			n.emit(EventRetry, p.msgID, p.owner, p.launch)
 		default:
 			panic("core: unresolved launch outcome")
@@ -473,22 +527,28 @@ func (n *Network) backoff(retries int) int64 {
 	return int64(n.rng.Intn(window + 1))
 }
 
-// launch runs each router's rotating-priority arbitration over its five
-// queues: up to four packets per cycle, one per output port (Section
+// launch runs each busy router's rotating-priority arbitration over its
+// five queues: up to four packets per cycle, one per output port (Section
 // 2.1.1). The arbiter rotates across the queues, taking at most one grant
 // per queue per round, and keeps cycling while ports and candidates remain,
 // so a single busy queue (e.g. a NIC holding a 16-sweep broadcast) can use
 // several output ports in one cycle without starving the others.
+//
+// It walks the active set in ascending node order, the dense loop's order,
+// and clears each member it leaves idle. An idle router launches nothing,
+// and its rotating pointer is a function of the cycle (rotation), so not
+// visiting it changes nothing.
 func (n *Network) launch() []*flight {
 	flights := n.flights[:0]
-	for node := range n.routers {
-		if n.faults != nil && n.faults.NodeStuck(n.cycle, mesh.NodeID(node)) {
+	n.launchNodes = n.active.Members(n.launchNodes[:0])
+	for _, node := range n.launchNodes {
+		if n.faults != nil && n.faults.NodeStuck(n.cycle, node) {
 			continue
 		}
 		r := &n.routers[node]
 		var granted [mesh.NumLinkDirs]bool
 		grants := 0
-		order := n.queueOrder(r)
+		order := n.queueOrder(r, node)
 		for round := 0; round < mesh.NumLinkDirs && grants < mesh.NumLinkDirs; round++ {
 			progressed := false
 			for k := 0; k < mesh.NumDirs && grants < mesh.NumLinkDirs; k++ {
@@ -505,11 +565,11 @@ func (n *Network) launch() []*flight {
 				n.pending = append(n.pending, rec)
 				f := n.getFlight()
 				f.p, f.rec = p, len(n.pending)-1
-				f.at, f.travel = mesh.NodeID(node), p.launch
+				f.at, f.travel = node, p.launch
 				f.control = p.control
-				n.claim(mesh.NodeID(node), p.launch)
+				n.claim(node, p.launch)
 				flights = append(flights, f)
-				n.emit(EventLaunch, p.msgID, mesh.NodeID(node), p.launch)
+				n.emit(EventLaunch, p.msgID, node, p.launch)
 				// Energy: laser power for the actual segment
 				// (links and taps covered this cycle) plus
 				// modulator drive and a buffer read for the
@@ -521,15 +581,24 @@ func (n *Network) launch() []*flight {
 				break
 			}
 		}
-		r.rotate = (r.rotate + 1) % mesh.NumDirs
+		if !r.busy() {
+			n.active.Remove(node)
+		}
 	}
 	n.flights = flights
 	return flights
 }
 
-// queueOrder returns the order in which a router's five queues are offered
-// grants this cycle, per the configured relaunch arbiter.
-func (n *Network) queueOrder(r *router) [mesh.NumDirs]int {
+// rotation returns the rotating arbiter's first queue at node this cycle.
+// The pointer advances once each cycle the router is not stuck, starting
+// at 0, so it is the count of those cycles modulo the queue count.
+func (n *Network) rotation(node mesh.NodeID) int {
+	return int((n.cycle - n.faults.StuckCycles(n.cycle, node)) % mesh.NumDirs)
+}
+
+// queueOrder returns the order in which router r's five queues (at node)
+// are offered grants this cycle, per the configured relaunch arbiter.
+func (n *Network) queueOrder(r *router, node mesh.NodeID) [mesh.NumDirs]int {
 	var order [mesh.NumDirs]int
 	switch n.cfg.Arbiter {
 	case ArbOldestFirst:
@@ -562,8 +631,9 @@ func (n *Network) queueOrder(r *router) [mesh.NumDirs]int {
 			}
 		}
 	default: // ArbRotating
+		rotate := n.rotation(node)
 		for i := 0; i < mesh.NumDirs; i++ {
-			order[i] = (r.rotate + i) % mesh.NumDirs
+			order[i] = (rotate + i) % mesh.NumDirs
 		}
 	}
 	return order

@@ -182,6 +182,7 @@ func (n *Network) receiveOrDrop(f *flight, relaunch mesh.Dir) {
 		p.eligibleAt = n.cycle + 1
 		p.enqueuedAt = n.cycle
 		q.items = append(q.items, p)
+		n.active.Add(f.at)
 		n.pending[f.rec].result = outcomeSafe
 		n.run.BufferedPackets++
 		n.run.ElectricalEnergyPJ += n.energy.ReceivePJ + n.energy.BufferWritePJ

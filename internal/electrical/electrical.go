@@ -9,9 +9,9 @@
 // The simulator runs on an event-driven kernel: every per-cycle pipeline
 // phase walks only the routers that currently hold work (occupied VCs or
 // queued NIC entries), so idle routers and empty VCs cost nothing. The
-// historical walk-every-router-every-cycle loop is preserved behind
-// NewReference as the dense reference implementation the differential
-// equivalence suite checks the kernel against (see activeset.go).
+// walk-every-router loop is preserved behind NewReference, whose active
+// set is dense, as the reference the differential equivalence suite
+// checks the kernel against.
 package electrical
 
 import (
@@ -194,17 +194,11 @@ type Network struct {
 	// (SetPhases); nil — the default — costs one branch per Step.
 	phases *telemetry.Phases
 
-	// Event-driven kernel state (activeset.go). dense selects the
-	// reference walk-every-router loop (NewReference); allNodes is that
-	// walk's 0..Nodes-1 order. listed, active, activeAdd and
-	// activeScratch implement the sorted active set with O(changed
-	// routers) maintenance.
-	dense         bool
-	allNodes      []mesh.NodeID
-	listed        []bool
-	active        []mesh.NodeID
-	activeAdd     []mesh.NodeID
-	activeScratch []mesh.NodeID
+	// active holds every busy router (busy ⇒ member); the pipeline
+	// phases walk it, listed into nodes once per Step. Dense on
+	// NewReference. See DESIGN.md §10.
+	active mesh.ActiveSet
+	nodes  []mesh.NodeID
 
 	// Fault injection and the delivery watchdog (fault.go). faults is
 	// nil unless a plan is armed; watchEvery > 0 arms the watchdog.
@@ -239,23 +233,28 @@ func (n *Network) SetTracer(f func(obs.Event)) { n.tracer = f }
 // disables it — the default, costing one branch per Step.
 func (n *Network) SetPhases(p *telemetry.Phases) { n.phases = p }
 
-// ActiveRouters reports the size of the event-driven active set as of
-// the last merge (plus routers activated since); under the dense
-// reference kernel it degrades to the ever-active router count.
-func (n *Network) ActiveRouters() int { return len(n.active) + len(n.activeAdd) }
+// ActiveRouters reports the size of the active set (every router, on
+// NewReference).
+func (n *Network) ActiveRouters() int { return n.active.Len() }
 
-// CheckInvariants audits the active-set contract busy(node) ⇒
-// listed[node] for every router. It is O(nodes) and meant for watchdog
-// flush boundaries, never the per-cycle path.
+// CheckInvariants audits the active-set contract busy(node) ⇒ member
+// for every router. It is O(nodes) and meant for watchdog flush
+// boundaries, never the per-cycle path.
 func (n *Network) CheckInvariants() error {
 	for node := range n.routers {
 		id := mesh.NodeID(node)
-		if n.busy(id) && !n.listed[id] {
-			return fmt.Errorf("electrical: router %d busy (occupied %#x, nic %d) but not active-set-listed",
+		if n.busy(id) && !n.active.Has(id) {
+			return fmt.Errorf("electrical: router %d busy (occupied %#x, nic %d) but not in the active set",
 				node, n.routers[id].occupied, len(n.routers[id].nic))
 		}
 	}
 	return nil
+}
+
+// busy reports whether node holds work: an occupied VC or a queued NIC
+// entry. Every pipeline phase acts only on such routers.
+func (n *Network) busy(node mesh.NodeID) bool {
+	return n.routers[node].occupied != 0 || len(n.routers[node].nic) > 0
 }
 
 // emit reports an event to the tracer, if any.
@@ -269,6 +268,16 @@ func (n *Network) emit(kind obs.Kind, msgID uint64, node mesh.NodeID, dir mesh.D
 // invalid configuration.
 func New(cfg Config) *Network {
 	return newNetwork(cfg, false)
+}
+
+// NewReference builds a baseline network whose pipeline phases walk every
+// router every cycle: its active set is dense. It runs the same Step code
+// as New and exists for differential testing — the equivalence suite and
+// FuzzElectricalEquivalence drive it in lockstep with New and assert
+// bit-identical results. Production callers want New. It panics on
+// invalid configuration, like New.
+func NewReference(cfg Config) *Network {
+	return newNetwork(cfg, true)
 }
 
 // newNetwork is the shared constructor behind New and NewReference.
@@ -288,19 +297,20 @@ func newNetwork(cfg Config, dense bool) *Network {
 		routers: make([]erouter, m.Nodes()),
 		trees:   make(map[string]*vctm.Tree),
 		bcast:   make([]*vctm.Tree, m.Nodes()),
-		dense:   dense,
-		listed:  make([]bool, m.Nodes()),
+		active:  mesh.NewActiveSet(m.Nodes(), dense),
+		// Sized for every router, so the walk list never grows.
+		nodes: make([]mesh.NodeID, 0, m.Nodes()),
 	}
-	if dense {
-		n.allNodes = make([]mesh.NodeID, m.Nodes())
-		for i := range n.allNodes {
-			n.allNodes[i] = mesh.NodeID(i)
-		}
-	}
+	// Every router's VCs, branch lists and NIC queue are carved from
+	// three slabs: one allocation each, not one per VC, which keeps New
+	// cheap on large meshes.
+	vcSlab := make([]vcState, m.Nodes()*mesh.NumDirs*cfg.VCs)
+	branchSlab := make([]branch, len(vcSlab)*mesh.NumLinkDirs)
+	nicSlab := make([]*epacket, m.Nodes()*cfg.NICEntries)
 	for i := range n.routers {
 		r := &n.routers[i]
 		for p := 0; p < mesh.NumDirs; p++ {
-			r.vcs[p] = make([]vcState, cfg.VCs)
+			r.vcs[p], vcSlab = vcSlab[:cfg.VCs:cfg.VCs], vcSlab[cfg.VCs:]
 			// Pre-size every branch list so a packet's first visit to a
 			// cold VC never allocates: at low rates the working set of
 			// (router, port, VC) states grows for thousands of cycles,
@@ -309,11 +319,11 @@ func newNetwork(cfg Config, dense bool) *Network {
 			// per link direction.
 			for v := range r.vcs[p] {
 				r.vcs[p][v].bit = uint8(p*cfg.VCs + v)
-				r.vcs[p][v].branches = make([]branch, 0, mesh.NumLinkDirs)
+				r.vcs[p][v].branches, branchSlab = branchSlab[:0:mesh.NumLinkDirs], branchSlab[mesh.NumLinkDirs:]
 			}
 		}
 		// The NIC queue is bounded; give it its full backing up front.
-		r.nic = make([]*epacket, 0, cfg.NICEntries)
+		r.nic, nicSlab = nicSlab[:0:cfg.NICEntries], nicSlab[cfg.NICEntries:]
 		for p := 0; p < mesh.NumLinkDirs; p++ {
 			r.va[p] = islip.New(mesh.NumDirs*cfg.VCs, cfg.VCs, 1, cfg.Iterations)
 		}
@@ -348,21 +358,14 @@ func (n *Network) NICFree(node mesh.NodeID) int {
 	return f
 }
 
-// Quiescent implements sim.Network. Any router holding work is listed in
-// the active set (the busy-implies-listed invariant both kernels
-// maintain), so only listed routers need checking — O(active), not
-// O(mesh).
+// Quiescent implements sim.Network. It checks every router: the harness
+// loops never poll it, so it stays off the per-cycle path.
 func (n *Network) Quiescent() bool {
 	if len(n.transit) > 0 {
 		return false
 	}
-	for _, node := range n.active {
-		if n.busy(node) {
-			return false
-		}
-	}
-	for _, node := range n.activeAdd {
-		if n.busy(node) {
+	for node := range n.routers {
+		if n.busy(mesh.NodeID(node)) {
 			return false
 		}
 	}
@@ -453,7 +456,7 @@ func (n *Network) Inject(m sim.Message) {
 		panic("electrical: message without destinations")
 	}
 	n.routers[m.Src].nic = append(n.routers[m.Src].nic, p)
-	n.activate(m.Src)
+	n.active.Add(m.Src)
 }
 
 // fill loads a packet into an empty VC, computing its replication set (the
@@ -489,11 +492,12 @@ func (n *Network) fill(vc *vcState, p *epacket, at mesh.NodeID) {
 // allocation then switch allocation, launch winners, age VCs. Deliveries
 // are appended to buf (see sim.Network for the buffer-ownership contract).
 //
-// The five pipeline phases run over a node list in ascending ID order: the
-// full mesh under the dense reference kernel, the sorted active set under
-// the event-driven kernel. Because every phase already no-ops on routers
-// without work, the two walks are behaviourally identical — the
-// differential equivalence suite pins this, event for event.
+// The five pipeline phases walk one node list in ascending ID order: only
+// busy routers under New, the full mesh under NewReference. Because every
+// phase already no-ops on routers without work, the two walks are
+// behaviourally identical — the differential equivalence suite pins this,
+// event for event. No router turns busy during the phases (arrivals land
+// at the start of the next Step), so one list serves all five.
 func (n *Network) Step(buf []sim.Delivery) []sim.Delivery {
 	sp := n.phases.Begin(n.cycle)
 	if n.watchEvery > 0 {
@@ -502,12 +506,7 @@ func (n *Network) Step(buf []sim.Delivery) []sim.Delivery {
 	sp.Mark(telemetry.PhaseWatchdog)
 	n.applyArrivals()
 	sp.Mark(telemetry.PhaseArrivals)
-	var nodes []mesh.NodeID
-	if n.dense {
-		nodes = n.allNodes
-	} else {
-		nodes = n.mergeActive()
-	}
+	nodes := n.pruneActive()
 	sp.Mark(telemetry.PhaseActiveSet)
 	buf = n.ejectPhase(buf, nodes)
 	sp.Mark(telemetry.PhaseEject)
@@ -525,16 +524,32 @@ func (n *Network) Step(buf []sim.Delivery) []sim.Delivery {
 	return buf
 }
 
+// pruneActive lists this cycle's phase walk: the active-set members in
+// ascending order, except members that went idle, which leave the set
+// (the dense set keeps them, so NewReference walks every router).
+func (n *Network) pruneActive() []mesh.NodeID {
+	members := n.active.Members(n.nodes[:0])
+	nodes := members[:0] // compacts in place: writes trail reads
+	for _, node := range members {
+		if !n.busy(node) && n.active.Remove(node) {
+			continue
+		}
+		nodes = append(nodes, node)
+	}
+	n.nodes = nodes
+	return nodes
+}
+
 // applyArrivals moves last cycle's link traversals into their reserved
 // downstream VCs (phase 1). Receiving routers join the active set before
-// the phase walk of this cycle sees them.
+// this cycle's phase walks.
 func (n *Network) applyArrivals() {
 	for _, a := range n.transit {
 		vc := &n.routers[a.node].vcs[a.port][a.vc]
 		if !vc.empty() || !vc.reserved {
 			panic("electrical: arrival into non-reserved VC")
 		}
-		n.activate(a.node)
+		n.active.Add(a.node)
 		n.fill(vc, a.pkt, a.node)
 		n.run.ElectricalEnergyPJ += n.energy.BufferWritePJ
 		n.emit(obs.KindBuffer, a.pkt.msgID, a.node, a.port)

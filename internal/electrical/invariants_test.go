@@ -8,23 +8,23 @@ import (
 	"phastlane/internal/sim"
 )
 
-// TestCheckInvariantsDetectsUnlistedBusyRouter corrupts the active-set
-// membership flag of a busy router and asserts the telemetry invariant
-// check notices — a passing watchdog is evidence, not vacuity.
+// TestCheckInvariantsDetectsUnlistedBusyRouter clears a busy router's
+// active-set bit and asserts the telemetry invariant check notices — a
+// passing watchdog is evidence, not vacuity.
 func TestCheckInvariantsDetectsUnlistedBusyRouter(t *testing.T) {
 	n := New(DefaultConfig())
 	n.Inject(sim.Message{ID: 1, Src: 3, Dsts: []mesh.NodeID{9}, Op: packet.OpSynthetic})
 	if err := n.CheckInvariants(); err != nil {
 		t.Fatalf("fresh inject: %v", err)
 	}
-	if !n.busy(3) || !n.listed[3] {
-		t.Fatal("inject did not make router 3 busy and listed")
+	if !n.busy(3) || !n.active.Has(3) {
+		t.Fatal("inject did not make router 3 busy and active")
 	}
-	n.listed[3] = false
+	n.active.Remove(3)
 	if err := n.CheckInvariants(); err == nil {
-		t.Error("unlisted busy router not detected")
+		t.Error("busy router outside the active set not detected")
 	}
-	n.listed[3] = true
+	n.active.Add(3)
 }
 
 // TestActiveRoutersTracksLoad drives a few cycles and checks the

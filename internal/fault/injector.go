@@ -59,7 +59,8 @@ type Injector struct {
 	// link out of node toward dir, including windows inherited from
 	// stuck routers at either endpoint.
 	links [][]window
-	// stuck[node] holds the node's stuck windows.
+	// stuck[node] holds the node's stuck windows, merged at Arm into
+	// sorted, disjoint, non-adjacent intervals (StuckCycles sums them).
 	stuck [][]window
 	// slots[node*NumDirs+dir] holds buffer-slot failures of the port.
 	slots [][]slotWindow
@@ -122,10 +123,33 @@ func (p *Plan) Arm(m *mesh.Mesh) (*Injector, error) {
 			return nil, fmt.Errorf("fault: unknown kind %d", int(f.Kind))
 		}
 	}
+	for node := range in.stuck {
+		in.stuck[node] = mergeWindows(in.stuck[node])
+	}
 	sort.SliceStable(in.transitions, func(a, b int) bool {
 		return in.transitions[a].Cycle < in.transitions[b].Cycle
 	})
 	return in, nil
+}
+
+// mergeWindows sorts ws by start and folds overlapping and adjacent
+// windows together, in place. The union of the windows, and so every
+// active query over them, is unchanged.
+func mergeWindows(ws []window) []window {
+	if len(ws) < 2 {
+		return ws
+	}
+	sort.Slice(ws, func(a, b int) bool { return ws[a].from < ws[b].from })
+	out := ws[:1]
+	for _, w := range ws[1:] {
+		last := &out[len(out)-1]
+		if w.from <= last.until {
+			last.until = max(last.until, w.until)
+			continue
+		}
+		out = append(out, w)
+	}
+	return out
 }
 
 // addLink records a dead window on the directed link (node, dir).
@@ -168,6 +192,24 @@ func (in *Injector) NodeStuck(cycle int64, node mesh.NodeID) bool {
 		}
 	}
 	return false
+}
+
+// StuckCycles counts the cycles in [0, cycle) during which NodeStuck(·,
+// node) was true. A router's rotating launch priority advances once each
+// cycle it is not stuck, so the optical kernel derives the pointer from
+// this count instead of stepping every idle router.
+func (in *Injector) StuckCycles(cycle int64, node mesh.NodeID) int64 {
+	if in == nil {
+		return 0
+	}
+	var n int64
+	for _, w := range in.stuck[node] {
+		if w.from >= cycle {
+			break
+		}
+		n += min(w.until, cycle) - w.from
+	}
+	return n
 }
 
 // LostSlots returns how many buffer entries of port d at node are failed

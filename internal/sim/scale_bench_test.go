@@ -1,12 +1,13 @@
 package sim_test
 
-// Benchmarks for the mesh-size scaling story: the event-driven electrical
-// kernel against the dense-walk reference at low injection rates, where
-// idle routers dominate and the active set should keep per-cycle cost
+// Benchmarks for the mesh-size scaling story: each event-driven kernel
+// against its dense-walk reference at low injection rates, where idle
+// routers dominate and the active set should keep per-cycle cost
 // proportional to traffic, not mesh area. The sparse-large workload in
 // benchmark/ times the same regime end to end on 32×32 and 64×64; these
 // benchmarks are the profiling form and the only event-vs-dense
-// comparison (go test -bench KernelLowRate -cpuprofile …).
+// comparison, for both the electrical and the optical kernel
+// (go test -bench KernelLowRate -cpuprofile …).
 
 import (
 	"fmt"
@@ -65,6 +66,11 @@ func BenchmarkKernelLowRate(b *testing.B) {
 			cfg := core.DefaultConfig()
 			cfg.Width, cfg.Height = size, size
 			benchCycles(b, core.New(cfg), rate, warmup)
+		})
+		b.Run(fmt.Sprintf("optical-dense-%dx%d", size, size), func(b *testing.B) {
+			cfg := core.DefaultConfig()
+			cfg.Width, cfg.Height = size, size
+			benchCycles(b, core.NewReference(cfg), rate, warmup)
 		})
 	}
 }

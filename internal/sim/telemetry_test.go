@@ -109,3 +109,28 @@ func TestTelemetryTickZeroAlloc(t *testing.T) {
 		})
 	}
 }
+
+// TestActiveRoutersGaugeBothMeshKernels checks that both mesh kernels
+// report their active set to telemetry: the gauge holds a router count
+// after a run, not the -1 of a network without an active set.
+func TestActiveRoutersGaugeBothMeshKernels(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		newNet func() sim.Network
+	}{
+		{"optical", optical},
+		{"electrical", baseline},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tel := telemetry.NewRun(telemetry.Options{FlushEvery: 250})
+			sim.RunRate(tc.newNet(), sim.RateConfig{
+				Pattern: traffic.UniformRandom(64, 1),
+				Rate:    0.10, Warmup: 300, Measure: 1000, Seed: 11,
+				Telemetry: tel,
+			})
+			if g := tel.ActiveRouters.Load(); g < 0 || g > 64 {
+				t.Errorf("active-routers gauge = %v, want a count in [0, 64]", g)
+			}
+		})
+	}
+}

@@ -20,7 +20,8 @@ const (
 	// PhaseArrivals: applying last cycle's link traversals into their
 	// reserved VCs (the link/credit half of the electrical pipeline).
 	PhaseArrivals
-	// PhaseActiveSet: event-driven active-set merge and compaction.
+	// PhaseActiveSet: clearing routers that went idle from the
+	// electrical kernel's active set.
 	PhaseActiveSet
 	// PhaseEject: direct ejection to local nodes.
 	PhaseEject
@@ -240,14 +241,14 @@ type Instrumentable interface {
 }
 
 // ActiveSetReporter is implemented by networks that maintain an active
-// set (the event-driven electrical kernel): ActiveRouters reports its
+// set (both event-driven mesh kernels): ActiveRouters reports its
 // current size for the flight recorder and the active-set gauge.
 type ActiveSetReporter interface {
 	ActiveRouters() int
 }
 
 // InvariantChecker is implemented by networks that can audit their own
-// structural invariants (busy ⇒ active-set-listed, live-parcel
+// structural invariants (busy ⇒ in the active set, live-parcel
 // accounting). The check may be O(mesh); the watchdog calls it only at
 // flush boundaries, never per cycle.
 type InvariantChecker interface {

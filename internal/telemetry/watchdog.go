@@ -23,8 +23,8 @@ func (t Trip) String() string {
 // multi-billion-cycle run into an immediate, diagnosable stop.
 //
 // Checks: message conservation (delivered + lost + in-flight ==
-// injected), the network's own structural invariants (busy ⇒
-// active-set-listed, live-parcel accounting; see InvariantChecker), and
+// injected), the network's own structural invariants (busy ⇒ in the
+// active set, live-parcel accounting; see InvariantChecker), and
 // an allocation budget (allocs/cycle between flushes; 0 disables — an
 // HTTP scrape allocates on another goroutine, so the budget must
 // tolerate serving traffic).
