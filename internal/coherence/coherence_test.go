@@ -1,7 +1,7 @@
 package coherence
 
 import (
-	"math/rand"
+	"slices"
 	"testing"
 
 	"phastlane/internal/packet"
@@ -176,39 +176,37 @@ func TestGenerateTraceReplyDependsOnRequest(t *testing.T) {
 	}
 }
 
+// TestGenerateTraceDeterministic pins that a seed fixes the trace under
+// both protocols, and that another seed changes it.
 func TestGenerateTraceDeterministic(t *testing.T) {
-	a, err := GenerateTrace(small(), DefaultConfig(), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GenerateTrace(small(), DefaultConfig(), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Messages) != len(b.Messages) {
-		t.Fatalf("lengths differ: %d vs %d", len(a.Messages), len(b.Messages))
-	}
-	for i := range a.Messages {
-		if a.Messages[i] != b.Messages[i] {
-			t.Fatalf("message %d differs", i)
-		}
-	}
-	c, err := GenerateTrace(small(), DefaultConfig(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := len(a.Messages) == len(c.Messages)
-	if same {
-		identical := true
-		for i := range a.Messages {
-			if a.Messages[i] != c.Messages[i] {
-				identical = false
-				break
+	for _, proto := range []Protocol{Snoopy, DirectoryMSI} {
+		t.Run(proto.String(), func(t *testing.T) {
+			p := small()
+			p.Protocol = proto
+			a, err := GenerateTrace(p, DefaultConfig(), 7)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if identical {
-			t.Error("different seeds produced identical traces")
-		}
+			b, err := GenerateTrace(p, DefaultConfig(), 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(a.Messages) != len(b.Messages) {
+				t.Fatalf("lengths differ: %d vs %d", len(a.Messages), len(b.Messages))
+			}
+			for i := range a.Messages {
+				if a.Messages[i] != b.Messages[i] {
+					t.Fatalf("message %d differs: %+v vs %+v", i, a.Messages[i], b.Messages[i])
+				}
+			}
+			c, err := GenerateTrace(p, DefaultConfig(), 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if slices.Equal(a.Messages, c.Messages) {
+				t.Error("different seeds produced identical traces")
+			}
+		})
 	}
 }
 
@@ -361,32 +359,43 @@ func TestWarmupCreatesCacheToCacheTransfers(t *testing.T) {
 }
 
 // checkMSIInvariants verifies the single-writer/multiple-reader property
-// over the generator's global state and per-core caches.
+// over the generator's MSI tables and per-core caches. It checks the lines
+// some L2 holds, walking each core's resident lines, and then every line
+// with an owner; the owner column is the only table it scans whole.
 func checkMSIInvariants(t *testing.T, g *generator) {
 	t.Helper()
-	for addr, gl := range g.global {
-		modifiedHolders := 0
-		for c := 0; c < g.cfg.Cores; c++ {
-			set, tag := g.l2[c].index(addr)
-			for i := range set {
-				if set[i].state == invalid || set[i].tag != tag {
+	modifiedHolders := map[int]int{} // row -> cores holding it Modified
+	for c, l2 := range g.l2 {
+		for set, ways := range l2.sets {
+			for _, w := range ways {
+				if w.state == invalid {
 					continue
 				}
-				if set[i].state == modified {
-					modifiedHolders++
-					if gl.owner != c {
-						t.Fatalf("line %#x: core %d holds M but owner is %d", addr, c, gl.owner)
+				addr := (w.tag<<l2.setBits | uint64(set)) << l2.blockBits
+				r := g.row(addr)
+				owner := int(g.owner[r])
+				if w.state == modified {
+					modifiedHolders[r]++
+					if owner != c {
+						t.Fatalf("line %#x: core %d holds M but owner is %d", addr, c, owner)
 					}
-				} else if gl.owner == c {
-					t.Fatalf("line %#x: owner %d holds line in state %v", addr, c, set[i].state)
+				} else if owner == c {
+					t.Fatalf("line %#x: owner %d holds line in state %v", addr, c, w.state)
+				}
+				if g.sharersOf(r)[c/64]&(1<<(c%64)) == 0 {
+					t.Fatalf("line %#x: core %d holds the line but is not a sharer", addr, c)
 				}
 			}
 		}
-		if modifiedHolders > 1 {
-			t.Fatalf("line %#x: %d modified holders", addr, modifiedHolders)
+	}
+	for r, n := range modifiedHolders {
+		if n > 1 {
+			t.Fatalf("row %d: %d modified holders", r, n)
 		}
-		if gl.owner >= 0 && modifiedHolders == 0 {
-			t.Fatalf("line %#x: owner %d recorded but no M copy resident", addr, gl.owner)
+	}
+	for r, owner := range g.owner {
+		if owner >= 0 && modifiedHolders[r] == 0 {
+			t.Fatalf("row %d: owner %d recorded but no M copy resident", r, owner)
 		}
 	}
 }
@@ -396,19 +405,7 @@ func TestMSISingleWriterInvariant(t *testing.T) {
 	p := small()
 	p.Messages = 1500
 	cfg := DefaultConfig()
-	g := &generator{
-		cfg: cfg, p: p, rng: rand.New(rand.NewSource(13)),
-		l1: make([]*cache, cfg.Cores), l2: make([]*cache, cfg.Cores),
-		global:  make(map[uint64]*globalLine),
-		chains:  make([][]chainState, cfg.Cores),
-		misses:  make([]int, cfg.Cores),
-		privPos: make([]uint64, cfg.Cores), sharedPos: make([]uint64, cfg.Cores),
-	}
-	for c := 0; c < cfg.Cores; c++ {
-		g.l1[c] = newCache(cfg.L1SizeBytes, cfg.L1Ways, cfg.L1BlockBytes)
-		g.l2[c] = newCache(cfg.L2SizeBytes, cfg.L2Ways, cfg.L2BlockBytes)
-		g.chains[c] = make([]chainState, p.MLP)
-	}
+	g := newGenerator(p, cfg, 13)
 	for round := 0; round < 30; round++ {
 		for c := 0; c < cfg.Cores; c++ {
 			for r := 0; r < 40; r++ {

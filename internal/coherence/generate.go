@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"phastlane/internal/mesh"
@@ -9,17 +10,17 @@ import (
 	"phastlane/internal/trace"
 )
 
-// globalLine is the system-wide MSI bookkeeping for one L2 line.
-type globalLine struct {
-	owner   int // core holding the line Modified, or -1
-	sharers map[int]bool
-}
-
 // chainState is one outstanding-miss chain (MSHR) of a core: the trace
 // message whose completion gates this chain's next miss.
 type chainState struct {
 	lastDep uint64
 }
+
+// sharerSet is one line's sharers: core c is bit c%64 of word c/64.
+type sharerSet []uint64
+
+func (s sharerSet) add(c int)    { s[c/64] |= 1 << (c % 64) }
+func (s sharerSet) remove(c int) { s[c/64] &^= 1 << (c % 64) }
 
 // generator runs the coherence protocol over synthetic reference streams
 // and records the resulting network messages.
@@ -29,13 +30,51 @@ type generator struct {
 	rng *rand.Rand
 
 	l1, l2 []*cache
-	global map[uint64]*globalLine
+	// The system-wide MSI state of every L2 line, in dense tables
+	// indexed by the line's row (see row): owner[r] is the core holding
+	// row r Modified, or -1, and sharers[r*words:(r+1)*words] is its
+	// sharer set. Bitsets walk in ascending core order, so the directory
+	// protocol's invalidations are deterministic.
+	owner   []int32
+	sharers []uint64
+	words   int
 
 	msgs   []trace.Message
 	chains [][]chainState
 	misses []int // per core, for chain round-robin and burst phase
 
 	privPos, sharedPos []uint64
+}
+
+// newGenerator builds a generator with cold caches and empty MSI tables;
+// p and cfg must be valid.
+func newGenerator(p Params, cfg Config, seed int64) *generator {
+	rows := cfg.Cores*p.PrivateLines + p.SharedLines
+	g := &generator{
+		cfg:       cfg,
+		p:         p,
+		rng:       rand.New(rand.NewSource(seed)),
+		l1:        make([]*cache, cfg.Cores),
+		l2:        make([]*cache, cfg.Cores),
+		owner:     make([]int32, rows),
+		words:     (cfg.Cores + 63) / 64,
+		chains:    make([][]chainState, cfg.Cores),
+		misses:    make([]int, cfg.Cores),
+		privPos:   make([]uint64, cfg.Cores),
+		sharedPos: make([]uint64, cfg.Cores),
+	}
+	g.sharers = make([]uint64, rows*g.words)
+	for r := range g.owner {
+		g.owner[r] = -1
+	}
+	for c := 0; c < cfg.Cores; c++ {
+		g.l1[c] = newCache(cfg.L1SizeBytes, cfg.L1Ways, cfg.L1BlockBytes)
+		g.l2[c] = newCache(cfg.L2SizeBytes, cfg.L2Ways, cfg.L2BlockBytes)
+		g.chains[c] = make([]chainState, p.MLP)
+		g.privPos[c] = uint64(g.rng.Intn(p.PrivateLines))
+		g.sharedPos[c] = uint64(g.rng.Intn(p.SharedLines))
+	}
+	return g
 }
 
 // GenerateTrace runs workload p over the cache hierarchy cfg and returns
@@ -47,25 +86,7 @@ func GenerateTrace(p Params, cfg Config, seed int64) (*trace.Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	g := &generator{
-		cfg:       cfg,
-		p:         p,
-		rng:       rand.New(rand.NewSource(seed)),
-		l1:        make([]*cache, cfg.Cores),
-		l2:        make([]*cache, cfg.Cores),
-		global:    make(map[uint64]*globalLine),
-		chains:    make([][]chainState, cfg.Cores),
-		misses:    make([]int, cfg.Cores),
-		privPos:   make([]uint64, cfg.Cores),
-		sharedPos: make([]uint64, cfg.Cores),
-	}
-	for c := 0; c < cfg.Cores; c++ {
-		g.l1[c] = newCache(cfg.L1SizeBytes, cfg.L1Ways, cfg.L1BlockBytes)
-		g.l2[c] = newCache(cfg.L2SizeBytes, cfg.L2Ways, cfg.L2BlockBytes)
-		g.chains[c] = make([]chainState, p.MLP)
-		g.privPos[c] = uint64(g.rng.Intn(p.PrivateLines))
-		g.sharedPos[c] = uint64(g.rng.Intn(p.SharedLines))
-	}
+	g := newGenerator(p, cfg, seed)
 	// Warm the hierarchy silently so the emitted trace reflects steady
 	// state - capacity misses, cache-to-cache transfers from Modified
 	// owners, and dirty writebacks - rather than a pure cold-start.
@@ -106,14 +127,32 @@ func GenerateTrace(p Params, cfg Config, seed int64) (*trace.Trace, error) {
 	return tr, nil
 }
 
-// lineBase addresses: private regions are disjoint per core; the shared
-// region is common. All addresses are L2-line aligned.
+// sharedBase is the shared region's base address. Private regions are
+// disjoint per core below it; all addresses are L2-line aligned.
+const sharedBase = 1 << 48
+
 func (g *generator) privateAddr(core int, line uint64) uint64 {
 	return (uint64(core+1) << 32) | line*uint64(g.cfg.L2BlockBytes)
 }
 
 func (g *generator) sharedAddr(line uint64) uint64 {
-	return (uint64(1) << 48) | line*uint64(g.cfg.L2BlockBytes)
+	return sharedBase | line*uint64(g.cfg.L2BlockBytes)
+}
+
+// row returns addr's index into the MSI tables: every core's private
+// region in core order, then the shared region.
+func (g *generator) row(addr uint64) int {
+	line := int(uint32(addr)) / g.cfg.L2BlockBytes
+	region := g.cfg.Cores
+	if addr < sharedBase {
+		region = int(addr>>32) - 1
+	}
+	return region*g.p.PrivateLines + line
+}
+
+// sharersOf returns row r's sharer set, a window of the generator's table.
+func (g *generator) sharersOf(r int) sharerSet {
+	return g.sharers[r*g.words : (r+1)*g.words]
 }
 
 // nextRef synthesises the next reference for a core.
@@ -171,50 +210,71 @@ func (g *generator) warmReference(core int) {
 		g.l1[core].insert(addr, shared)
 	}
 	w := g.l2[core].lookup(addr)
-	gl := g.line(addr)
 	switch {
 	case w == nil:
-		st := shared
-		if write {
-			st = modified
-			g.invalidateOthers(core, addr, gl)
-			gl.owner = core
-			gl.sharers = map[int]bool{core: true}
-		} else {
-			if gl.owner >= 0 && gl.owner != core {
-				g.l2[gl.owner].setState(addr, shared)
-				gl.sharers[gl.owner] = true
-			}
-			gl.owner = -1
-			gl.sharers[core] = true
-		}
-		victimAddr, victimState := g.l2[core].insert(addr, st)
-		if victimState != invalid {
-			vgl := g.line(victimAddr)
-			delete(vgl.sharers, core)
-			if victimState == modified && vgl.owner == core {
-				vgl.owner = -1
-			}
-		}
+		g.fill(core, addr, write, 0, false)
 	case write && w.state == shared:
-		g.invalidateOthers(core, addr, gl)
-		gl.owner = core
-		gl.sharers = map[int]bool{core: true}
+		g.takeOwnership(core, addr)
 		g.l2[core].setState(addr, modified)
 	}
 }
 
-// invalidateOthers drops every other core's copy of addr.
-func (g *generator) invalidateOthers(core int, addr uint64, gl *globalLine) {
-	for s := range gl.sharers {
-		if s != core {
-			g.l2[s].invalidate(addr)
-			g.l1[s].invalidate(addr)
+// takeOwnership makes core the line's owner and only sharer: every other
+// copy is invalidated. The caller sets core's own copy Modified.
+func (g *generator) takeOwnership(core int, addr uint64) {
+	r := g.row(addr)
+	sharers := g.sharersOf(r)
+	for i, w := range sharers {
+		for ; w != 0; w &= w - 1 {
+			if s := 64*i + bits.TrailingZeros64(w); s != core {
+				g.l2[s].invalidate(addr)
+				g.l1[s].invalidate(addr)
+			}
 		}
 	}
-	if gl.owner >= 0 && gl.owner != core {
-		g.l2[gl.owner].invalidate(addr)
-		g.l1[gl.owner].invalidate(addr)
+	if o := int(g.owner[r]); o >= 0 && o != core {
+		g.l2[o].invalidate(addr)
+		g.l1[o].invalidate(addr)
+	}
+	g.owner[r] = int32(core)
+	clear(sharers)
+	sharers.add(core)
+}
+
+// fill completes core's miss on addr: a write takes ownership, a read
+// joins the sharers and demotes a Modified owner to one. The line enters
+// core's L2; a dirty victim's writeback, when emitting, depends on dep.
+func (g *generator) fill(core int, addr uint64, write bool, dep uint64, emitting bool) {
+	st := shared
+	if write {
+		st = modified
+		g.takeOwnership(core, addr)
+	} else {
+		r := g.row(addr)
+		if o := int(g.owner[r]); o >= 0 && o != core {
+			g.l2[o].setState(addr, shared)
+			g.sharersOf(r).add(o)
+		}
+		g.owner[r] = -1
+		g.sharersOf(r).add(core)
+	}
+	victimAddr, victimState := g.l2[core].insert(addr, st)
+	if victimState == invalid {
+		return
+	}
+	r := g.row(victimAddr)
+	g.sharersOf(r).remove(core)
+	if victimState != modified {
+		return
+	}
+	if int(g.owner[r]) == core {
+		g.owner[r] = -1
+	}
+	if mc := g.mcOf(victimAddr); emitting && mc != core {
+		g.emit(trace.Message{
+			Src: mesh.NodeID(core), Dst: mesh.NodeID(mc),
+			Op: packet.OpWriteback, Dep: dep, Think: 1,
+		})
 	}
 }
 
@@ -245,16 +305,6 @@ func (g *generator) mcOf(addr uint64) int {
 	return int((addr / uint64(g.cfg.L2BlockBytes)) % uint64(g.cfg.Cores))
 }
 
-// line returns the global MSI record for addr.
-func (g *generator) line(addr uint64) *globalLine {
-	gl, ok := g.global[addr]
-	if !ok {
-		gl = &globalLine{owner: -1, sharers: make(map[int]bool)}
-		g.global[addr] = gl
-	}
-	return gl
-}
-
 // dirLatency is the directory lookup time at a home memory controller.
 const dirLatency = 6
 
@@ -278,12 +328,11 @@ func (g *generator) miss(core int, addr uint64, write bool) {
 		EarliestCycle: g.stagger(chain.lastDep),
 	})
 	completion := req
-	gl := g.line(addr)
 
 	// Data supplier: the Modified owner if any, else the line's MC.
 	supplier, latency := g.mcOf(addr), int64(g.cfg.MemLatency)
-	if gl.owner >= 0 && gl.owner != core {
-		supplier, latency = gl.owner, int64(g.cfg.SnoopLatency)
+	if o := int(g.owner[g.row(addr)]); o >= 0 && o != core {
+		supplier, latency = o, int64(g.cfg.SnoopLatency)
 	}
 	if supplier != core {
 		completion = g.emit(trace.Message{
@@ -291,24 +340,7 @@ func (g *generator) miss(core int, addr uint64, write bool) {
 			Op: packet.OpDataReply, Dep: req, Think: latency,
 		})
 	}
-
-	// Snoop effects and local fill.
-	st := shared
-	if write {
-		st = modified
-		g.invalidateOthers(core, addr, gl)
-		gl.owner = core
-		gl.sharers = map[int]bool{core: true}
-	} else {
-		if gl.owner >= 0 && gl.owner != core {
-			g.l2[gl.owner].setState(addr, shared)
-			gl.sharers[gl.owner] = true
-		}
-		gl.owner = -1
-		gl.sharers[core] = true
-	}
-	victimAddr, victimState := g.l2[core].insert(addr, st)
-	g.evict(core, victimAddr, victimState, completion)
+	g.fill(core, addr, write, completion, true)
 	chain.lastDep = completion
 }
 
@@ -318,7 +350,7 @@ func (g *generator) miss(core int, addr uint64, write bool) {
 func (g *generator) missDirectory(core int, addr uint64, write bool) {
 	chain := &g.chains[core][g.misses[core]%g.p.MLP]
 	home := g.mcOf(addr)
-	gl := g.line(addr)
+	r := g.row(addr)
 	think := g.pacing(core)
 	op := packet.OpReadReq
 	if write {
@@ -335,32 +367,23 @@ func (g *generator) missDirectory(core int, addr uint64, write bool) {
 			EarliestCycle: g.stagger(reqDep),
 		})
 	}
-
-	// Targeted invalidations on writes.
 	if write {
-		for s := range gl.sharers {
-			if s != core && s != home {
-				g.emit(trace.Message{
-					Src: mesh.NodeID(home), Dst: mesh.NodeID(s),
-					Op: packet.OpWriteReq, Dep: req, Think: dirLatency,
-				})
-			}
-		}
+		g.invalidations(core, home, r, req)
 	}
 
 	// Data supply: forward to the owner for a cache-to-cache transfer,
 	// or reply from memory at the home node.
 	completion := req
-	if gl.owner >= 0 && gl.owner != core {
+	if o := int(g.owner[r]); o >= 0 && o != core {
 		fwd := req
-		if gl.owner != home {
+		if o != home {
 			fwd = g.emit(trace.Message{
-				Src: mesh.NodeID(home), Dst: mesh.NodeID(gl.owner),
+				Src: mesh.NodeID(home), Dst: mesh.NodeID(o),
 				Op: op, Dep: req, Think: dirLatency,
 			})
 		}
 		completion = g.emit(trace.Message{
-			Src: mesh.NodeID(gl.owner), Dst: mesh.NodeID(core),
+			Src: mesh.NodeID(o), Dst: mesh.NodeID(core),
 			Op: packet.OpDataReply, Dep: fwd, Think: int64(g.cfg.SnoopLatency),
 		})
 	} else if home != core {
@@ -369,25 +392,24 @@ func (g *generator) missDirectory(core int, addr uint64, write bool) {
 			Op: packet.OpDataReply, Dep: req, Think: int64(dirLatency + g.cfg.MemLatency),
 		})
 	}
-
-	// State updates mirror the snoopy path.
-	st := shared
-	if write {
-		st = modified
-		g.invalidateOthers(core, addr, gl)
-		gl.owner = core
-		gl.sharers = map[int]bool{core: true}
-	} else {
-		if gl.owner >= 0 && gl.owner != core {
-			g.l2[gl.owner].setState(addr, shared)
-			gl.sharers[gl.owner] = true
-		}
-		gl.owner = -1
-		gl.sharers[core] = true
-	}
-	victimAddr, victimState := g.l2[core].insert(addr, st)
-	g.evict(core, victimAddr, victimState, completion)
+	g.fill(core, addr, write, completion, true)
 	chain.lastDep = completion
+}
+
+// invalidations emits the home directory's targeted invalidations of row
+// r for a write by core, one per other sharer in ascending core order,
+// each after req.
+func (g *generator) invalidations(core, home, r int, req uint64) {
+	for i, w := range g.sharersOf(r) {
+		for ; w != 0; w &= w - 1 {
+			if s := 64*i + bits.TrailingZeros64(w); s != core && s != home {
+				g.emit(trace.Message{
+					Src: mesh.NodeID(home), Dst: mesh.NodeID(s),
+					Op: packet.OpWriteReq, Dep: req, Think: dirLatency,
+				})
+			}
+		}
+	}
 }
 
 // upgrade handles a write hit on a Shared line: broadcast the invalidation
@@ -404,10 +426,7 @@ func (g *generator) upgrade(core int, addr uint64) {
 		Dep: chain.lastDep, Think: g.pacing(core),
 		EarliestCycle: g.stagger(chain.lastDep),
 	})
-	gl := g.line(addr)
-	g.invalidateOthers(core, addr, gl)
-	gl.owner = core
-	gl.sharers = map[int]bool{core: true}
+	g.takeOwnership(core, addr)
 	g.l2[core].setState(addr, modified)
 	chain.lastDep = req
 }
@@ -417,7 +436,6 @@ func (g *generator) upgrade(core int, addr uint64) {
 func (g *generator) upgradeDirectory(core int, addr uint64) {
 	chain := &g.chains[core][g.misses[core]%g.p.MLP]
 	home := g.mcOf(addr)
-	gl := g.line(addr)
 	think := g.pacing(core)
 
 	req := chain.lastDep
@@ -428,14 +446,7 @@ func (g *generator) upgradeDirectory(core int, addr uint64) {
 			EarliestCycle: g.stagger(chain.lastDep),
 		})
 	}
-	for s := range gl.sharers {
-		if s != core && s != home {
-			g.emit(trace.Message{
-				Src: mesh.NodeID(home), Dst: mesh.NodeID(s),
-				Op: packet.OpWriteReq, Dep: req, Think: dirLatency,
-			})
-		}
-	}
+	g.invalidations(core, home, g.row(addr), req)
 	completion := req
 	if home != core {
 		completion = g.emit(trace.Message{
@@ -443,31 +454,9 @@ func (g *generator) upgradeDirectory(core int, addr uint64) {
 			Op: packet.OpAck, Dep: req, Think: dirLatency,
 		})
 	}
-	g.invalidateOthers(core, addr, gl)
-	gl.owner = core
-	gl.sharers = map[int]bool{core: true}
+	g.takeOwnership(core, addr)
 	g.l2[core].setState(addr, modified)
 	chain.lastDep = completion
-}
-
-// evict emits the writeback for a dirty victim and updates global state.
-func (g *generator) evict(core int, victimAddr uint64, victimState lineState, dep uint64) {
-	if victimState == invalid {
-		return
-	}
-	gl := g.line(victimAddr)
-	delete(gl.sharers, core)
-	if victimState == modified {
-		if gl.owner == core {
-			gl.owner = -1
-		}
-		if mc := g.mcOf(victimAddr); mc != core {
-			g.emit(trace.Message{
-				Src: mesh.NodeID(core), Dst: mesh.NodeID(mc),
-				Op: packet.OpWriteback, Dep: dep, Think: 1,
-			})
-		}
-	}
 }
 
 // stagger spreads dependency-free first misses over the first cycles so

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"phastlane/internal/fault"
 	"phastlane/internal/mesh"
 	"phastlane/internal/packet"
 	"phastlane/internal/photonic"
@@ -280,6 +282,63 @@ func TestBroadcastUnderTinyBuffers(t *testing.T) {
 		if cnt != 1 {
 			t.Errorf("node %d received %d copies", node, cnt)
 		}
+	}
+}
+
+// TestCachedSweepsStayPristine runs broadcast-heavy traffic through drops,
+// bypass relaunches and a fault plan, then checks that every source's
+// cached sweeps still equal a fresh packet.BuildBroadcast. Parcels read the
+// cache's Delivers through remaining, so a write through that window
+// would show here.
+func TestCachedSweepsStayPristine(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"bypass", func(c *Config) { c.BufferEntries = 1 }},
+		{"no-bypass", func(c *Config) { c.BufferEntries, c.Bypass = 1, false }},
+		{"faults", func(c *Config) {
+			c.BufferEntries, c.LossTimeout, c.RetryLimit = 2, 600, 6
+			c.Faults = &fault.Plan{Seed: 5, CorruptRate: 0.02, Faults: []fault.Fault{
+				{Kind: fault.DeadLink, Node: 27, Dir: mesh.North, From: 50, Until: 900},
+				{Kind: fault.DeadLink, Node: 12, Dir: mesh.East, From: 200},
+				{Kind: fault.StuckRouter, Node: 36, From: 100, Until: 400},
+			}}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := mustNew(t, tc.mutate)
+			nodes := mesh.NodeID(n.Nodes())
+			dsts := make([]mesh.NodeID, 0, nodes)
+			var id uint64
+			for cycle := 0; cycle < 4000; cycle++ {
+				if src := mesh.NodeID(cycle*7) % nodes; cycle < 2000 && n.NICFree(src) > 0 {
+					id++
+					dsts = append(dsts[:0], (src+29)%nodes)
+					if id%3 == 0 {
+						dsts = dsts[:0]
+						for d := mesh.NodeID(0); d < nodes; d++ {
+							if d != src {
+								dsts = append(dsts, d)
+							}
+						}
+					}
+					n.Inject(sim.Message{ID: id, Src: src, Dsts: dsts, Op: packet.OpReadReq})
+				}
+				n.Step(nil)
+			}
+			if n.Run().Drops == 0 {
+				t.Error("no drops: the run never retransmitted a sweep")
+			}
+			for src, sweeps := range n.bcast {
+				if sweeps == nil {
+					t.Fatalf("source %d never broadcast", src)
+				}
+				if want := packet.BuildBroadcast(n.m, mesh.NodeID(src), n.cfg.MaxHops); !reflect.DeepEqual(sweeps, want) {
+					t.Errorf("source %d: cached sweeps changed during the run", src)
+				}
+			}
+		})
 	}
 }
 

@@ -34,11 +34,9 @@ type parcel struct {
 	launch  mesh.Dir
 	routed  bool
 	// remaining lists the multicast destinations not yet served, in
-	// sweep order. Nil for unicast parcels. It slides forward over
-	// remBuf, the parcel-owned backing array the free list preserves
-	// across reuses.
+	// sweep order. Nil for unicast parcels. It is a read-only window
+	// sliding forward over the Delivers of the network's cached sweep.
 	remaining []mesh.NodeID
-	remBuf    []mesh.NodeID
 	multicast bool
 	retries   int
 	// born is the injection cycle, the delivery watchdog's age base.
@@ -190,7 +188,9 @@ type Network struct {
 	// registry of flight objects lent out this cycle; walkActive and
 	// walkCont are the wavefront/contender scratch of walk; sweepDirs
 	// backs multicast route rebuilds; launchNodes lists the active set
-	// for launch.
+	// for launch. bcast caches each source's broadcast sweeps, built on
+	// its first broadcast; parcels read them through remaining and never
+	// write them.
 	parcelFree  []*parcel
 	flightFree  []*flight
 	flights     []*flight
@@ -198,6 +198,7 @@ type Network struct {
 	walkCont    []*flight
 	sweepDirs   []mesh.Dir
 	launchNodes []mesh.NodeID
+	bcast       [][]packet.MulticastMessage
 
 	run   stats.Run
 	cycle int64
@@ -245,6 +246,7 @@ func newNetwork(cfg Config, dense bool) *Network {
 		claims:  make([]int64, m.Nodes()*mesh.NumLinkDirs),
 		// Sized for every router, so the walk list never grows.
 		launchNodes: make([]mesh.NodeID, 0, m.Nodes()),
+		bcast:       make([][]packet.MulticastMessage, m.Nodes()),
 	}
 	for i := range n.claims {
 		n.claims[i] = -1
@@ -274,13 +276,12 @@ func newNetwork(cfg Config, dense bool) *Network {
 }
 
 // getParcel takes a parcel from the free list (or allocates one) and
-// resets it to a fresh state, keeping the multicast backing array.
+// resets it to a fresh state.
 func (n *Network) getParcel() *parcel {
 	if k := len(n.parcelFree); k > 0 {
 		p := n.parcelFree[k-1]
 		n.parcelFree = n.parcelFree[:k-1]
-		rem := p.remBuf
-		*p = parcel{remBuf: rem[:0], skipAt: -1}
+		*p = parcel{skipAt: -1}
 		return p
 	}
 	return &parcel{skipAt: -1}
@@ -360,13 +361,18 @@ func (n *Network) Inject(m sim.Message) {
 			}
 			return
 		}
-		for _, msg := range packet.BuildBroadcast(n.m, m.Src, n.cfg.MaxHops) {
+		sweeps := n.bcast[m.Src]
+		if sweeps == nil {
+			sweeps = packet.BuildBroadcast(n.m, m.Src, n.cfg.MaxHops)
+			n.bcast[m.Src] = sweeps
+		}
+		for i := range sweeps {
+			msg := &sweeps[i]
 			p := n.getParcel()
 			p.msgID, p.op, p.src = m.ID, m.Op, m.Src
 			p.owner = m.Src
 			p.control, p.launch = msg.Control, msg.Launch
-			p.remBuf = append(p.remBuf[:0], msg.Delivers...)
-			p.remaining = p.remBuf
+			p.remaining = msg.Delivers
 			p.dst = p.remaining[len(p.remaining)-1]
 			p.multicast = true
 			p.born = n.cycle

@@ -493,10 +493,16 @@ type MulticastMessage struct {
 // segment end. The row-crossing node of each column is served by the upward
 // sweep, or by the downward sweep when src is on the top row. src itself is
 // never delivered to. maxHops interim stops are marked on every message.
+// The messages' Delivers are capped windows of one shared array.
 func BuildBroadcast(m *mesh.Mesh, src mesh.NodeID, maxHops int) []MulticastMessage {
 	cs := m.Coord(src)
 	top := m.Height() - 1
-	var msgs []MulticastMessage
+	b := sweepSet{
+		m: m, src: src,
+		msgs:     make([]MulticastMessage, 0, 2*m.Width()),
+		delivers: make([]mesh.NodeID, 0, m.Nodes()-1),
+		dirs:     make([]mesh.Dir, 0, m.Width()+m.Height()),
+	}
 	for x := 0; x < m.Width(); x++ {
 		if cs.Y < top {
 			// Upward sweep covers (x, cs.Y) .. (x, top), minus src.
@@ -504,9 +510,7 @@ func BuildBroadcast(m *mesh.Mesh, src mesh.NodeID, maxHops int) []MulticastMessa
 			if x == cs.X {
 				yFirst = cs.Y + 1
 			}
-			if up := buildSweep(m, src, x, mesh.North, yFirst, top); up != nil {
-				msgs = append(msgs, *up)
-			}
+			b.add(x, mesh.North, yFirst, top)
 		}
 		// Downward sweep covers (x, cs.Y-1) .. (x, 0); when src is on
 		// the top row it also covers the row-crossing node (x, cs.Y).
@@ -514,44 +518,52 @@ func BuildBroadcast(m *mesh.Mesh, src mesh.NodeID, maxHops int) []MulticastMessa
 		if cs.Y == top && x != cs.X {
 			yFirst = cs.Y
 		}
-		if down := buildSweep(m, src, x, mesh.South, yFirst, 0); down != nil {
-			msgs = append(msgs, *down)
-		}
+		b.add(x, mesh.South, yFirst, 0)
 	}
-	for i := range msgs {
-		msgs[i].Control.MarkInterims(maxHops)
+	for i := range b.msgs {
+		b.msgs[i].Control.MarkInterims(maxHops)
 	}
-	return msgs
+	return b.msgs
 }
 
-// buildSweep constructs the multicast message from src that serves rows
-// yFirst..yLast (inclusive, in vert order) of column x, or nil when the
-// segment is empty.
-func buildSweep(m *mesh.Mesh, src mesh.NodeID, x int, vert mesh.Dir, yFirst, yLast int) *MulticastMessage {
+// sweepSet accumulates one broadcast's sweeps in three allocations: the
+// messages, the array their Delivers share, and the route scratch.
+type sweepSet struct {
+	m        *mesh.Mesh
+	src      mesh.NodeID
+	msgs     []MulticastMessage
+	delivers []mesh.NodeID
+	dirs     []mesh.Dir
+}
+
+// add appends the multicast message from src that serves rows
+// yFirst..yLast (inclusive, in vert order) of column x; an empty segment
+// adds nothing.
+func (b *sweepSet) add(x int, vert mesh.Dir, yFirst, yLast int) {
+	m, src := b.m, b.src
 	cs := m.Coord(src)
-	if (vert == mesh.North && yFirst > yLast) || (vert == mesh.South && yFirst < yLast) {
-		return nil
-	}
-	// Horizontal approach along src's row.
-	var dirs []mesh.Dir
-	h := mesh.East
-	if x < cs.X {
-		h = mesh.West
-	}
-	for i := 0; i < absInt(x-cs.X); i++ {
-		dirs = append(dirs, h)
-	}
-	// Vertical sweep.
 	step := 1
 	if vert == mesh.South {
 		step = -1
 	}
-	sweepLinks := absInt(yLast - cs.Y)
-	for i := 0; i < sweepLinks; i++ {
+	if (yLast-yFirst)*step < 0 {
+		return
+	}
+	// Horizontal approach along src's row, then the vertical sweep.
+	h := mesh.East
+	if x < cs.X {
+		h = mesh.West
+	}
+	dirs := b.dirs[:0]
+	for i := 0; i < absInt(x-cs.X); i++ {
+		dirs = append(dirs, h)
+	}
+	for i := 0; i < absInt(yLast-cs.Y); i++ {
 		dirs = append(dirs, vert)
 	}
+	b.dirs = dirs
 	if len(dirs) == 0 {
-		return nil
+		return
 	}
 	// Sweeps longer than the control capacity are truncated at an
 	// interim stop that relaunches the remainder (see BuildControl).
@@ -562,23 +574,20 @@ func buildSweep(m *mesh.Mesh, src mesh.NodeID, x int, vert mesh.Dir, yFirst, yLa
 		dirs = dirs[:MaxGroups]
 		truncated = true
 	}
-	msg := &MulticastMessage{Launch: dirs[0]}
+	msg := MulticastMessage{Launch: dirs[0]}
 	// Delivery set: every node of the column segment.
-	y := yFirst
-	for {
-		msg.Delivers = append(msg.Delivers, m.ID(mesh.Coord{X: x, Y: y}))
+	start := len(b.delivers)
+	for y := yFirst; ; y += step {
+		b.delivers = append(b.delivers, m.ID(mesh.Coord{X: x, Y: y}))
 		if y == yLast {
 			break
 		}
-		y += step
 	}
+	msg.Delivers = b.delivers[start:len(b.delivers):len(b.delivers)]
 	// Control groups: router i (0-based, the i-th router after src) sees
 	// travel dirs[i] and exits dirs[i+1] (Local at the end). Multicast
-	// bit set on every group that serves a delivery node.
-	deliver := make(map[mesh.NodeID]bool, len(msg.Delivers))
-	for _, d := range msg.Delivers {
-		deliver[d] = true
-	}
+	// bit set on every group that serves a delivery node: a node of
+	// column x between the segment's ends.
 	cur := src
 	for i := 0; i < len(dirs); i++ {
 		next, ok := m.Neighbor(cur, dirs[i])
@@ -590,8 +599,9 @@ func buildSweep(m *mesh.Mesh, src mesh.NodeID, x int, vert mesh.Dir, yFirst, yLa
 		if i+1 < len(dirs) {
 			out = dirs[i+1]
 		}
-		g := GroupForStep(dirs[i], out, deliver[cur])
-		msg.Control.Groups[i] = g
+		c := m.Coord(cur)
+		deliver := c.X == x && (c.Y-yFirst)*step >= 0 && (yLast-c.Y)*step >= 0
+		msg.Control.Groups[i] = GroupForStep(dirs[i], out, deliver)
 		msg.Control.Used = i + 1
 	}
 	if truncated {
@@ -600,7 +610,7 @@ func buildSweep(m *mesh.Mesh, src mesh.NodeID, x int, vert mesh.Dir, yFirst, yLa
 		g := GroupForStep(dirs[len(dirs)-1], contDir, false)
 		last.Straight, last.Left, last.Right = g.Straight, g.Left, g.Right
 	}
-	return msg
+	b.msgs = append(b.msgs, msg)
 }
 
 func absInt(v int) int {

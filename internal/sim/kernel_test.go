@@ -53,22 +53,46 @@ func TestInjectPanicNamesNodeAndFreeCount(t *testing.T) {
 // stepZeroAlloc drives net under sustained uniform-random load past
 // warmup, then asserts that further inject+Step cycles allocate nothing:
 // the steady-state kernel must run entirely from pools, scratch slices,
-// and the caller-owned delivery buffer.
-func stepZeroAlloc(t *testing.T, net sim.Network, warmup int) {
+// caches, and the caller-owned delivery buffer. With bcastEvery > 0 every
+// bcastEvery-th injection is a full broadcast instead, and warmup begins
+// with one broadcast from every node, so each source's multicast routes
+// are built before the count.
+func stepZeroAlloc(t *testing.T, net sim.Network, warmup, bcastEvery int) {
 	t.Helper()
 	inj := traffic.NewInjector(traffic.UniformRandom(net.Nodes(), 1), net.Nodes(), 0.05, 2)
 	var id uint64
 	var buf []sim.Delivery
-	dsts := make([]mesh.NodeID, 1)
-	cycle := func() {
-		for _, in := range inj.Tick() {
-			if net.NICFree(in.Src) > 0 {
-				id++
-				dsts[0] = in.Dst
-				net.Inject(sim.Message{ID: id, Src: in.Src, Dsts: dsts, Op: packet.OpSynthetic})
+	dsts := make([]mesh.NodeID, 0, net.Nodes())
+	broadcast := func(src mesh.NodeID) {
+		dsts = dsts[:0]
+		for n := mesh.NodeID(0); int(n) < net.Nodes(); n++ {
+			if n != src {
+				dsts = append(dsts, n)
 			}
 		}
+		id++
+		net.Inject(sim.Message{ID: id, Src: src, Dsts: dsts, Op: packet.OpReadReq})
+	}
+	cycle := func() {
+		for _, in := range inj.Tick() {
+			if net.NICFree(in.Src) <= 0 {
+				continue
+			}
+			if bcastEvery > 0 && id%uint64(bcastEvery) == 0 {
+				broadcast(in.Src)
+				continue
+			}
+			id++
+			dsts = append(dsts[:0], in.Dst)
+			net.Inject(sim.Message{ID: id, Src: in.Src, Dsts: dsts, Op: packet.OpSynthetic})
+		}
 		buf = net.Step(buf[:0])
+	}
+	if bcastEvery > 0 {
+		for n := mesh.NodeID(0); int(n) < net.Nodes(); n++ {
+			broadcast(n)
+			buf = net.Step(buf[:0])
+		}
 	}
 	for i := 0; i < warmup; i++ {
 		cycle()
@@ -79,11 +103,23 @@ func stepZeroAlloc(t *testing.T, net sim.Network, warmup int) {
 }
 
 func TestOpticalStepZeroAlloc(t *testing.T) {
-	stepZeroAlloc(t, core.New(core.DefaultConfig()), 500)
+	stepZeroAlloc(t, core.New(core.DefaultConfig()), 500, 0)
 }
 
 func TestElectricalStepZeroAlloc(t *testing.T) {
-	stepZeroAlloc(t, electrical.New(electrical.DefaultConfig()), 500)
+	stepZeroAlloc(t, electrical.New(electrical.DefaultConfig()), 500, 0)
+}
+
+// TestBroadcastStepZeroAlloc extends the contract to broadcasts on both
+// 8×8 kernels: an optical broadcast reuses its source's cached column
+// sweeps, and an electrical one its source's cached VCTM tree.
+func TestBroadcastStepZeroAlloc(t *testing.T) {
+	t.Run("optical", func(t *testing.T) {
+		stepZeroAlloc(t, core.New(core.DefaultConfig()), 500, 16)
+	})
+	t.Run("electrical", func(t *testing.T) {
+		stepZeroAlloc(t, electrical.New(electrical.DefaultConfig()), 500, 16)
+	})
 }
 
 // TestElectricalStepZeroAlloc32 holds the zero-allocation contract on a
@@ -93,7 +129,7 @@ func TestElectricalStepZeroAlloc(t *testing.T) {
 func TestElectricalStepZeroAlloc32(t *testing.T) {
 	cfg := electrical.DefaultConfig()
 	cfg.Width, cfg.Height = 32, 32
-	stepZeroAlloc(t, electrical.New(cfg), 800)
+	stepZeroAlloc(t, electrical.New(cfg), 800, 0)
 }
 
 // TestOpticalStepZeroAlloc32 is the same contract for the optical kernel
@@ -104,5 +140,5 @@ func TestElectricalStepZeroAlloc32(t *testing.T) {
 func TestOpticalStepZeroAlloc32(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Width, cfg.Height = 32, 32
-	stepZeroAlloc(t, core.New(cfg), 800)
+	stepZeroAlloc(t, core.New(cfg), 800, 0)
 }

@@ -22,7 +22,7 @@ func TestProvenanceOffIsFree(t *testing.T) {
 		{"electrical", baseline},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			stepZeroAlloc(t, tc.newNet(), 500)
+			stepZeroAlloc(t, tc.newNet(), 500, 0)
 		})
 	}
 }

@@ -5,7 +5,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"phastlane/internal/cc"
 	"phastlane/internal/exp"
@@ -561,27 +563,21 @@ func RunTrace(net Network, tr *trace.Trace, cfg ReplayConfig) (Result, error) {
 	if limit == 0 {
 		limit = 20_000_000
 	}
-	// readyAt[id] is the cycle message id may inject; -1 = dependency
-	// not yet delivered. firstDep/nextDep hold the child adjacency as
-	// intrusive linked lists over the (dense, 1-based) message IDs — no
-	// per-ID slice or map entry.
-	readyAt := make([]int64, len(tr.Messages)+1)
+	// firstDep/nextDep hold the child adjacency as intrusive linked lists
+	// over the (dense, 1-based) message IDs — no per-ID slice or map
+	// entry. Built back to front, each list reads in ascending ID order.
 	firstDep := make([]uint64, len(tr.Messages)+1)
 	nextDep := make([]uint64, len(tr.Messages)+1)
-	pending := make([]uint64, 0, len(tr.Messages)) // ids not yet injected, in ID order
-	for _, m := range tr.Messages {
-		pending = append(pending, m.ID)
-		if m.Dep == 0 {
-			readyAt[m.ID] = m.EarliestCycle
-		} else {
-			readyAt[m.ID] = -1
-		}
-	}
-	// Build the child lists back to front so each list reads in
-	// ascending ID order, matching the append order of the old map.
+	// Messages whose dependency has resolved wait in due until their
+	// ready cycle; due ones move to ready, in ID order, until their NIC
+	// has room. A message with an outstanding dependency is in neither.
+	due := make(readyHeap, 0, len(tr.Messages))
+	ready := make([]readyItem, 0, len(tr.Messages))
 	for i := len(tr.Messages) - 1; i >= 0; i-- {
 		m := tr.Messages[i]
-		if m.Dep != 0 {
+		if m.Dep == 0 {
+			due.push(readyItem{at: m.EarliestCycle, id: m.ID})
+		} else {
 			nextDep[m.ID] = firstDep[m.Dep]
 			firstDep[m.Dep] = m.ID
 		}
@@ -610,26 +606,30 @@ func RunTrace(net Network, tr *trace.Trace, cfg ReplayConfig) (Result, error) {
 			if e := tr.Messages[dep-1].EarliestCycle; e > at {
 				at = e
 			}
-			readyAt[dep] = at
+			due.push(readyItem{at: at, id: dep})
 		}
 	}
 	// dsts is the injection scratch: one entry for unicasts, everyone
 	// but the source for broadcasts. Inject does not retain it.
 	dsts := make([]mesh.NodeID, 0, tr.Nodes)
 
-	for len(pending) > 0 || l.inFlight > 0 {
+	for left := len(tr.Messages); left > 0 || l.inFlight > 0; {
 		if l.cycle >= limit {
 			res.Saturated = true
 			break
 		}
+		for len(due) > 0 && due[0].at <= l.cycle {
+			it := due.pop()
+			i, _ := slices.BinarySearchFunc(ready, it, cmpID)
+			ready = slices.Insert(ready, i, it)
+		}
 		// Inject every ready message whose NIC has room, in ID
 		// order per source.
-		rest := pending[:0]
-		for _, id := range pending {
-			m := tr.Messages[id-1]
-			r := readyAt[id]
-			if r < 0 || r > l.cycle || net.NICFree(m.Src) <= 0 {
-				rest = append(rest, id)
+		rest := ready[:0]
+		for _, it := range ready {
+			m := tr.Messages[it.id-1]
+			if net.NICFree(m.Src) <= 0 {
+				rest = append(rest, it)
 				continue
 			}
 			dsts = dsts[:0]
@@ -646,14 +646,70 @@ func RunTrace(net Network, tr *trace.Trace, cfg ReplayConfig) (Result, error) {
 			// resolved, think time elapsed), so time spent
 			// stalled behind a full NIC counts against the
 			// network.
-			l.inject(Message{ID: id, Src: m.Src, Dsts: dsts, Op: m.Op}, r, true)
+			l.inject(Message{ID: it.id, Src: m.Src, Dsts: dsts, Op: m.Op}, it.at, true)
+			left--
 		}
-		pending = rest
+		ready = rest
 		l.step()
 	}
 	l.close()
 	res.Run.Cycles = l.cycle
 	return res, nil
+}
+
+// readyItem is a replay message whose dependency has resolved: it may
+// inject from cycle at on.
+type readyItem struct {
+	at int64
+	id uint64
+}
+
+// cmpID orders ready items by message ID, the replay's injection order.
+func cmpID(a, b readyItem) int { return cmp.Compare(a.id, b.id) }
+
+// readyHeap is a binary min-heap of ready items on (at, id). It is typed
+// because container/heap boxes every item it moves.
+type readyHeap []readyItem
+
+func (it readyItem) before(o readyItem) bool {
+	return it.at < o.at || (it.at == o.at && it.id < o.id)
+}
+
+func (h *readyHeap) push(it readyItem) {
+	s := append(*h, it)
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !s[i].before(s[p]) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+	*h = s
+}
+
+// pop removes and returns the earliest item; the heap must not be empty.
+func (h *readyHeap) pop() readyItem {
+	s := *h
+	top, n := s[0], len(s)-1
+	s[0] = s[n]
+	s = s[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && s[c+1].before(s[c]) {
+			c++
+		}
+		if !s[c].before(s[i]) {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	*h = s
+	return top
 }
 
 // SweepPoint is one (rate, latency) sample of a saturation sweep.
