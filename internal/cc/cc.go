@@ -241,7 +241,7 @@ type Governor struct {
 	cycle   int64
 
 	// History accumulation (HistoryEvery > 0 only).
-	history                      []RateSample
+	history                       []RateSample
 	histAcks, histNacks, histLost int64
 
 	// Telemetry gauges, nil until Register: per-sender series plus

@@ -150,6 +150,12 @@ type Network struct {
 	m      *mesh.Mesh
 	energy power.Optical
 	rng    *rand.Rand
+	// segmentPJ[links][taps] is energy.TransmitSegmentPJ(links, taps) for
+	// every segment a launch can cover: at most min(MaxHops, MaxGroups)
+	// links, with fewer taps than links. leakagePJ is every router's
+	// leakage over one cycle.
+	segmentPJ [packet.MaxGroups + 1][packet.MaxGroups]float64
+	leakagePJ float64
 
 	routers []router
 	// active holds every busy router (busy ⇒ member), so launch walks
@@ -251,6 +257,12 @@ func newNetwork(cfg Config, dense bool) *Network {
 	for i := range n.claims {
 		n.claims[i] = -1
 	}
+	for links := 1; links <= min(cfg.MaxHops, packet.MaxGroups); links++ {
+		for taps := 0; taps < links; taps++ {
+			n.segmentPJ[links][taps] = n.energy.TransmitSegmentPJ(links, taps)
+		}
+	}
+	n.leakagePJ = power.LeakagePJ(n.energy.LeakageWPerRouter, m.Nodes(), 1, photonic.DefaultClockGHz)
 	// Bounded queues get their full backing up front so the
 	// steady-state loop never grows them, carved from one slab so New
 	// allocates once for all of them.
@@ -422,7 +434,7 @@ func (n *Network) Step(buf []sim.Delivery) []sim.Delivery {
 	// them to the free list for the next cycle.
 	n.flightFree = append(n.flightFree, n.flights...)
 	n.flights = n.flights[:0]
-	n.run.LeakagePJ += power.LeakagePJ(n.energy.LeakageWPerRouter, n.m.Nodes(), 1, photonic.DefaultClockGHz)
+	n.run.LeakagePJ += n.leakagePJ
 	n.cycle++
 	sp.End()
 	return buf
@@ -580,7 +592,8 @@ func (n *Network) launch() []*flight {
 				// (links and taps covered this cycle) plus
 				// modulator drive and a buffer read for the
 				// launching queue.
-				n.run.OpticalEnergyPJ += n.energy.TransmitSegmentPJ(segmentOf(&p.control))
+				links, taps := p.control.Segment()
+				n.run.OpticalEnergyPJ += n.segmentPJ[links][taps]
 				n.run.ElectricalEnergyPJ += n.energy.ModulatePJ + n.energy.BufferReadPJ
 			}
 			if !progressed {
@@ -690,79 +703,39 @@ func (n *Network) resegment(p *parcel) {
 }
 
 // buildSweepFrom reconstructs a multicast sweep control from node src
-// through the remaining delivery targets (which, by construction, lie in
-// one column in sweep order, approached dimension-order). It runs on the
-// bypass relaunch hot path and borrows the network's sweepDirs scratch
-// instead of allocating.
+// through the remaining delivery targets, which by construction lie in one
+// column in sweep order and are approached dimension-order: an L that
+// packet.EncodeRoute encodes in closed form, tapping from remaining[0] on.
+// It runs on the bypass relaunch hot path and leaves the route's links in
+// the network's sweepDirs scratch, which faultPrepare's probe walks.
 func (n *Network) buildSweepFrom(src mesh.NodeID, remaining []mesh.NodeID, maxHops int) (packet.Control, mesh.Dir) {
-	m := n.m
 	if len(remaining) == 0 {
 		panic("core: multicast relaunch with no remaining destinations")
 	}
 	if remaining[0] == src {
 		panic("core: multicast relaunch targeting the owner itself")
 	}
+	h, across, vert, approach := n.m.Legs(src, remaining[0])
 	dirs := n.top.AppendRoute(n.sweepDirs[:0], src, remaining[0])
 	cur := remaining[0]
-	for _, next := range remaining[1:] {
+	for i, next := range remaining[1:] {
 		if n.top.HopDistance(cur, next) != 1 {
 			panic(fmt.Sprintf("core: non-contiguous multicast remainder %d->%d", cur, next))
 		}
-		dirs = append(dirs, n.top.PortAt(cur, next, 0))
+		d := n.top.PortAt(cur, next, 0)
+		if i == 0 && approach == 0 {
+			vert = d // a purely horizontal approach: the sweep sets the direction
+		}
+		if d != vert {
+			panic(fmt.Sprintf("core: multicast remainder goes %s at %d, not the sweep's %s", d, cur, vert))
+		}
+		dirs = append(dirs, d)
 		cur = next
 	}
 	n.sweepDirs = dirs
-	// Truncate over-long reconstructions at an interim stop, as
-	// packet.BuildControl does; the interim rebuilds the rest.
-	var contDir mesh.Dir
-	truncated := false
-	if len(dirs) > packet.MaxGroups {
-		contDir = dirs[packet.MaxGroups]
-		dirs = dirs[:packet.MaxGroups]
-		truncated = true
-	}
-	var ctl packet.Control
-	at := src
-	for i, d := range dirs {
-		next, ok := m.Neighbor(at, d)
-		if !ok {
-			panic("core: multicast resegment walks off mesh")
-		}
-		at = next
-		deliver := false
-		for _, r := range remaining {
-			if r == at {
-				deliver = true
-				break
-			}
-		}
-		out := mesh.Local
-		if i+1 < len(dirs) {
-			out = dirs[i+1]
-		}
-		ctl.Groups[i] = packet.GroupForStep(d, out, deliver)
-		ctl.Used = i + 1
-	}
-	if truncated {
-		last := &ctl.Groups[ctl.Used-1]
-		last.Local = true
-		g := packet.GroupForStep(dirs[len(dirs)-1], contDir, false)
-		last.Straight, last.Left, last.Right = g.Straight, g.Left, g.Right
-	}
+	ctl, launch := packet.EncodeRoute(h, across, vert, len(dirs)-across, across+approach-1)
 	ctl.MarkInterims(maxHops)
-	return ctl, dirs[0]
-}
-
-// segmentOf returns the link count and intermediate multicast-tap count of
-// the control's next single-cycle segment, for transmit-energy accounting.
-func segmentOf(c *packet.Control) (links, taps int) {
-	links = c.NextStop()
-	for i := 0; i < links-1; i++ {
-		if c.Groups[i].Multicast {
-			taps++
-		}
-	}
-	return links, taps
+	return ctl, launch
 }
 
 // claim marks the directed link out of node toward d used this cycle.

@@ -185,6 +185,8 @@ type Network struct {
 	// bcast caches the full-broadcast VCTM tree per source so the common
 	// broadcast inject skips the map-key allocation of vctm.Key.
 	bcast []*vctm.Tree
+	// leakagePJ is every router's leakage over one cycle.
+	leakagePJ float64
 	// pktFree is the epacket free list, so the steady-state Step loop
 	// allocates nothing.
 	pktFree []*epacket
@@ -301,6 +303,7 @@ func newNetwork(cfg Config, dense bool) *Network {
 		// Sized for every router, so the walk list never grows.
 		nodes: make([]mesh.NodeID, 0, m.Nodes()),
 	}
+	n.leakagePJ = power.LeakagePJ(n.energy.LeakageWPerRouter, m.Nodes(), 1, photonic.DefaultClockGHz)
 	// Every router's VCs, branch lists and NIC queue are carved from
 	// three slabs: one allocation each, not one per VC, which keeps New
 	// cheap on large meshes.
@@ -518,7 +521,7 @@ func (n *Network) Step(buf []sim.Delivery) []sim.Delivery {
 	sp.Mark(telemetry.PhaseSwitch)
 	n.agePhase(nodes)
 	sp.Mark(telemetry.PhaseAge)
-	n.run.LeakagePJ += power.LeakagePJ(n.energy.LeakageWPerRouter, n.m.Nodes(), 1, photonic.DefaultClockGHz)
+	n.run.LeakagePJ += n.leakagePJ
 	n.cycle++
 	sp.End()
 	return buf

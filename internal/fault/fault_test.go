@@ -60,18 +60,18 @@ func TestParseSpecExamples(t *testing.T) {
 func TestParseSpecErrors(t *testing.T) {
 	bad := []string{
 		"nonsense",
-		"dead-link@12",        // missing direction
-		"stuck@5:N",           // stuck routers take no direction
-		"slots@3:L",           // missing slot count
-		"dead-link@12:N=2",    // slot count on a non-slots fault
-		"dead-link@12:Q",      // unknown direction
-		"dead-link@twelve:N",  // bad node
-		"seed=x",              // bad seed
-		"corrupt=1.5",         // rate out of range
-		"slots@3:L=x",         // bad slot count
-		"dead-link@1:N#x",     // bad window start
-		"dead-link@1:N#5-x",   // bad window end
-		"wat@3:N",             // unknown kind
+		"dead-link@12",       // missing direction
+		"stuck@5:N",          // stuck routers take no direction
+		"slots@3:L",          // missing slot count
+		"dead-link@12:N=2",   // slot count on a non-slots fault
+		"dead-link@12:Q",     // unknown direction
+		"dead-link@twelve:N", // bad node
+		"seed=x",             // bad seed
+		"corrupt=1.5",        // rate out of range
+		"slots@3:L=x",        // bad slot count
+		"dead-link@1:N#x",    // bad window start
+		"dead-link@1:N#5-x",  // bad window end
+		"wat@3:N",            // unknown kind
 	}
 	for _, spec := range bad {
 		if _, err := ParseSpec(spec); err == nil {

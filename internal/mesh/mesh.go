@@ -76,7 +76,8 @@ const (
 	Straight Turn = iota
 	LeftTurn
 	RightTurn
-	Eject // leave the network at this router (Local bit)
+	Eject   // leave the network at this router (Local bit)
+	Reverse // double back toward the input port: no control group encodes it
 )
 
 // String names the turn for diagnostics.
@@ -90,6 +91,8 @@ func (t Turn) String() string {
 		return "right"
 	case Eject:
 		return "eject"
+	case Reverse:
+		return "reverse"
 	default:
 		return fmt.Sprintf("Turn(%d)", int(t))
 	}
@@ -97,20 +100,38 @@ func (t Turn) String() string {
 
 // TurnFor classifies the movement from input direction in (the direction of
 // travel, not the port name) to output direction out. Travelling North and
-// exiting West is a left turn, exiting East a right turn.
+// exiting West is a left turn, exiting East a right turn, exiting South a
+// reversal.
 func TurnFor(travel, out Dir) Turn {
-	if travel == out {
+	switch out {
+	case travel:
 		return Straight
-	}
-	if out == Local {
+	case Local:
 		return Eject
-	}
-	// Left of N is W, of W is S, of S is E, of E is N.
-	left := map[Dir]Dir{North: West, West: South, South: East, East: North}
-	if left[travel] == out {
+	case travel.Turned(LeftTurn):
 		return LeftTurn
+	case travel.Turned(RightTurn):
+		return RightTurn
+	default:
+		return Reverse
 	}
-	return RightTurn
+}
+
+// Turned returns the direction a packet travelling d leaves in after turn
+// t, one of the turns a control group encodes. The compass order N, E, S,
+// W puts a right turn one step clockwise and a left turn one step
+// counter-clockwise; Eject leaves toward Local.
+func (d Dir) Turned(t Turn) Dir {
+	switch t {
+	case Straight:
+		return d
+	case LeftTurn:
+		return (d + NumLinkDirs - 1) % NumLinkDirs
+	case RightTurn:
+		return (d + 1) % NumLinkDirs
+	default:
+		return Local
+	}
 }
 
 // Coord is an (x, y) mesh coordinate. x grows East, y grows North.
@@ -205,20 +226,30 @@ func (m *Mesh) Route(src, dst NodeID) []Dir {
 // returns the extended slice — the allocation-free form of Route for hot
 // paths that reuse a scratch buffer across calls.
 func (m *Mesh) AppendRoute(buf []Dir, src, dst NodeID) []Dir {
-	cs, cd := m.Coord(src), m.Coord(dst)
-	for x := cs.X; x < cd.X; x++ {
-		buf = append(buf, East)
+	h, a, v, b := m.Legs(src, dst)
+	for ; a > 0; a-- {
+		buf = append(buf, h)
 	}
-	for x := cs.X; x > cd.X; x-- {
-		buf = append(buf, West)
-	}
-	for y := cs.Y; y < cd.Y; y++ {
-		buf = append(buf, North)
-	}
-	for y := cs.Y; y > cd.Y; y-- {
-		buf = append(buf, South)
+	for ; b > 0; b-- {
+		buf = append(buf, v)
 	}
 	return buf
+}
+
+// Legs returns the dimension-order route from src to dst as its two legs:
+// a links travelling h (East or West), then b links travelling v (North or
+// South). A leg of no links still names a direction: East or North.
+func (m *Mesh) Legs(src, dst NodeID) (h Dir, a int, v Dir, b int) {
+	cs, cd := m.Coord(src), m.Coord(dst)
+	h, a = East, cd.X-cs.X
+	if a < 0 {
+		h, a = West, -a
+	}
+	v, b = North, cd.Y-cs.Y
+	if b < 0 {
+		v, b = South, -b
+	}
+	return h, a, v, b
 }
 
 // RouteDir returns the i-th travel direction (0-based) of the
@@ -227,20 +258,12 @@ func (m *Mesh) AppendRoute(buf []Dir, src, dst NodeID) []Dir {
 // that only need one step (next-hop lookup, control rebuilds). i must be
 // in [0, HopDistance(src, dst)); out-of-range indices panic.
 func (m *Mesh) RouteDir(src, dst NodeID, i int) Dir {
-	cs, cd := m.Coord(src), m.Coord(dst)
-	dx, dy := cd.X-cs.X, cd.Y-cs.Y
-	if i >= 0 && i < abs(dx) {
-		if dx > 0 {
-			return East
-		}
-		return West
-	}
-	i -= abs(dx)
-	if i >= 0 && i < abs(dy) {
-		if dy > 0 {
-			return North
-		}
-		return South
+	h, a, v, b := m.Legs(src, dst)
+	switch {
+	case i >= 0 && i < a:
+		return h
+	case i >= a && i < a+b:
+		return v
 	}
 	panic(fmt.Sprintf("mesh: RouteDir index out of range for route %d->%d", src, dst))
 }

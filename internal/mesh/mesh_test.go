@@ -91,6 +91,10 @@ func TestTurnFor(t *testing.T) {
 		{West, South, LeftTurn},
 		{West, North, RightTurn},
 		{West, Local, Eject},
+		{North, South, Reverse},
+		{South, North, Reverse},
+		{East, West, Reverse},
+		{West, East, Reverse},
 	}
 	for _, tc := range cases {
 		if got := TurnFor(tc.travel, tc.out); got != tc.want {

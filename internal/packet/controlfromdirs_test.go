@@ -80,10 +80,10 @@ func TestControlFromDirsTruncates(t *testing.T) {
 		dirs = append(dirs, mesh.North)
 	}
 	ctl, launch := ControlFromDirs(dirs)
-	if ctl.Used != MaxGroups {
-		t.Fatalf("Used %d, want %d", ctl.Used, MaxGroups)
+	if ctl.Used() != MaxGroups {
+		t.Fatalf("Used %d, want %d", ctl.Used(), MaxGroups)
 	}
-	last := ctl.Groups[MaxGroups-1]
+	last := ctl.Group(MaxGroups - 1)
 	if !last.Local || !last.Transit() {
 		t.Fatalf("truncation group %+v is not an interim stop", last)
 	}

@@ -62,14 +62,14 @@ func FuzzBuildControlRouteWalk(f *testing.F) {
 
 		cur := src
 		travel := launch
-		for i := 0; i < ctl.Used; i++ {
+		for i := 0; i < ctl.Used(); i++ {
 			next, ok := m.Neighbor(cur, travel)
 			if !ok {
 				t.Fatalf("walk leaves the mesh at node %d going %s (group %d)", cur, travel, i)
 			}
 			cur = next
-			g := ctl.Groups[i]
-			last := i == ctl.Used-1
+			g := ctl.Group(i)
+			last := i == ctl.Used()-1
 			switch {
 			case g.Interim():
 				if !last || !truncated {
@@ -110,14 +110,14 @@ func FuzzControlShiftStability(f *testing.F) {
 			t.Skip()
 		}
 		ctl, _ := packet.BuildControl(m, src, dst)
-		used := ctl.Used
+		used := ctl.Used()
 		for i := 0; i < used; i++ {
 			head := ctl.Head()
 			if shifted := ctl.Shift(); shifted != head {
 				t.Fatalf("Shift returned %+v, Head promised %+v", shifted, head)
 			}
-			if ctl.Used != used-i-1 {
-				t.Fatalf("Used = %d after %d shifts, want %d", ctl.Used, i+1, used-i-1)
+			if ctl.Used() != used-i-1 {
+				t.Fatalf("Used = %d after %d shifts, want %d", ctl.Used(), i+1, used-i-1)
 			}
 		}
 		if !ctl.Head().Zero() {

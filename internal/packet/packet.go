@@ -14,6 +14,7 @@ package packet
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"phastlane/internal/mesh"
@@ -166,19 +167,19 @@ func (g Group) String() string {
 func (g Group) Pack() uint8 {
 	var b uint8
 	if g.Straight {
-		b |= 1 << 0
+		b |= bitStraight
 	}
 	if g.Left {
-		b |= 1 << 1
+		b |= bitLeft
 	}
 	if g.Right {
-		b |= 1 << 2
+		b |= bitRight
 	}
 	if g.Local {
-		b |= 1 << 3
+		b |= bitLocal
 	}
 	if g.Multicast {
-		b |= 1 << 4
+		b |= bitMulticast
 	}
 	return b
 }
@@ -186,66 +187,119 @@ func (g Group) Pack() uint8 {
 // UnpackGroup decodes a 5-bit wire form produced by Pack.
 func UnpackGroup(b uint8) Group {
 	return Group{
-		Straight:  b&(1<<0) != 0,
-		Left:      b&(1<<1) != 0,
-		Right:     b&(1<<2) != 0,
-		Local:     b&(1<<3) != 0,
-		Multicast: b&(1<<4) != 0,
+		Straight:  b&bitStraight != 0,
+		Left:      b&bitLeft != 0,
+		Right:     b&bitRight != 0,
+		Local:     b&bitLocal != 0,
+		Multicast: b&bitMulticast != 0,
 	}
 }
 
-// Control is the full predecoded route: Groups[0] is the Group 1 the next
-// router will consume. Used is the number of meaningful groups.
+// The bits of a packed group, in Pack order.
+const (
+	bitStraight = 1 << iota
+	bitLeft
+	bitRight
+	bitLocal
+	bitMulticast
+)
+
+const (
+	// groupsPerWord is the number of groups one control waveguide carries.
+	groupsPerWord = MaxGroups / ControlWaveguides
+	// wordBits is the width of one control word: bits above it are zero.
+	wordBits  = groupsPerWord * GroupBits
+	groupMask = 1<<GroupBits - 1
+	// wordOnes has the lowest bit of each of a word's groups set.
+	wordOnes = (1<<wordBits - 1) / groupMask
+)
+
+// Control is the full predecoded route, packed as the two control
+// waveguides carry it: C0 holds Groups 1-7 and C1 Groups 8-14, five bits a
+// group in Pack order, lowest group in the low bits. Group 1, the one the
+// next router consumes, is Group(0). The number of meaningful groups, Used,
+// is the position of the last non-empty one.
 type Control struct {
-	Groups [MaxGroups]Group
-	Used   int
+	C0, C1 uint64
+}
+
+// Group returns group i (0-based), decoded.
+func (c *Control) Group(i int) Group {
+	w, shift := c.word(i)
+	return UnpackGroup(uint8(*w >> shift & groupMask))
+}
+
+// SetGroup replaces group i (0-based) with g.
+func (c *Control) SetGroup(i int, g Group) {
+	w, shift := c.word(i)
+	*w = *w&^(groupMask<<shift) | uint64(g.Pack())<<shift
+}
+
+// word returns the control word holding group i and the group's offset in it.
+func (c *Control) word(i int) (*uint64, uint) {
+	switch {
+	case i >= 0 && i < groupsPerWord:
+		return &c.C0, uint(i * GroupBits)
+	case i >= groupsPerWord && i < MaxGroups:
+		return &c.C1, uint((i - groupsPerWord) * GroupBits)
+	}
+	panic(fmt.Sprintf("packet: control group %d out of range", i))
+}
+
+// toggle flips the bits of packed group g in every group of [lo, hi).
+func (c *Control) toggle(lo, hi int, g uint64) {
+	c.C0 ^= g * (onesBelow(hi) &^ onesBelow(lo))
+	c.C1 ^= g * (onesBelow(hi-groupsPerWord) &^ onesBelow(lo-groupsPerWord))
+}
+
+// onesBelow returns the lowest bit of each of a word's first k groups, k
+// clamped to the word.
+func onesBelow(k int) uint64 {
+	k = min(max(k, 0), groupsPerWord)
+	return wordOnes & (uint64(1)<<(k*GroupBits) - 1)
+}
+
+// Used returns the number of meaningful groups.
+func (c *Control) Used() int {
+	if c.C1 != 0 {
+		return groupsPerWord + (bits.Len64(c.C1)+GroupBits-1)/GroupBits
+	}
+	return (bits.Len64(c.C0) + GroupBits - 1) / GroupBits
 }
 
 // Head returns the group the next router consumes.
-func (c *Control) Head() Group {
-	if c.Used == 0 {
-		return Group{}
-	}
-	return c.Groups[0]
-}
+func (c *Control) Head() Group { return UnpackGroup(uint8(c.C0 & groupMask)) }
 
 // Shift consumes Group 1 and moves every later group up one position,
 // modelling the C1->C0 physical shift plus the frequency translation of
-// Groups 2-7 performed at each output port (Figure 3). It returns the
-// consumed group.
+// Groups 2-7 performed at each output port (Figure 3): one shift per
+// word. It returns the consumed group.
 func (c *Control) Shift() Group {
-	head := c.Groups[0]
-	copy(c.Groups[:], c.Groups[1:])
-	c.Groups[MaxGroups-1] = Group{}
-	if c.Used > 0 {
-		c.Used--
-	}
+	head := c.Head()
+	c.C0 = c.C0>>GroupBits | (c.C1&groupMask)<<(wordBits-GroupBits)
+	c.C1 >>= GroupBits
 	return head
 }
 
-// Validate checks structural invariants: every used group valid and
-// non-empty, every unused group empty, and the final used group ejecting
-// (Local set) so the packet always leaves the network.
+// Validate checks structural invariants: no bits above either word's
+// seventh group, every used group valid and non-empty, and the final used
+// group ejecting (Local set) so the packet always leaves the network.
 func (c *Control) Validate() error {
-	if c.Used < 0 || c.Used > MaxGroups {
-		return fmt.Errorf("packet: control uses %d groups, want 0..%d", c.Used, MaxGroups)
+	if c.C0>>wordBits != 0 || c.C1>>wordBits != 0 {
+		return fmt.Errorf("packet: control bits set above group %d of a word (C0 %#x, C1 %#x)", groupsPerWord, c.C0, c.C1)
 	}
-	for i := 0; i < c.Used; i++ {
-		g := c.Groups[i]
+	used := c.Used()
+	for i := 0; i < used; i++ {
+		g := c.Group(i)
 		if !g.Valid() {
 			return fmt.Errorf("packet: group %d invalid: %s", i+1, g)
 		}
 		if g.Zero() {
-			return fmt.Errorf("packet: group %d empty but within used range %d", i+1, c.Used)
+			return fmt.Errorf("packet: group %d empty but within used range %d", i+1, used)
 		}
 	}
-	for i := c.Used; i < MaxGroups; i++ {
-		if !c.Groups[i].Zero() {
-			return fmt.Errorf("packet: group %d set beyond used range %d", i+1, c.Used)
-		}
-	}
-	if c.Used > 0 && !c.Groups[c.Used-1].Local {
-		return fmt.Errorf("packet: final group %s does not eject", c.Groups[c.Used-1])
+	if used > 0 && !c.Group(used-1).Local {
+		return fmt.Errorf("packet: final group %s does not eject", c.Group(used-1))
 	}
 	return nil
 }
@@ -254,11 +308,11 @@ func (c *Control) Validate() error {
 func (c *Control) String() string {
 	var b strings.Builder
 	b.WriteByte('[')
-	for i := 0; i < c.Used; i++ {
+	for i := 0; i < min(c.Used(), MaxGroups); i++ {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		b.WriteString(c.Groups[i].String())
+		b.WriteString(c.Group(i).String())
 	}
 	b.WriteByte(']')
 	return b.String()
@@ -299,48 +353,12 @@ type Packet struct {
 // DirAfterTurn applies the turn encoded by g to a packet travelling in
 // direction travel and returns the new travel direction, or Local when the
 // group ejects.
-func DirAfterTurn(travel mesh.Dir, g Group) mesh.Dir {
-	switch g.Turn() {
-	case mesh.Eject:
-		return mesh.Local
-	case mesh.Straight:
-		return travel
-	case mesh.LeftTurn:
-		return leftOf(travel)
-	default:
-		return rightOf(travel)
-	}
-}
-
-func leftOf(d mesh.Dir) mesh.Dir {
-	switch d {
-	case mesh.North:
-		return mesh.West
-	case mesh.West:
-		return mesh.South
-	case mesh.South:
-		return mesh.East
-	default:
-		return mesh.North
-	}
-}
-
-func rightOf(d mesh.Dir) mesh.Dir {
-	switch d {
-	case mesh.North:
-		return mesh.East
-	case mesh.East:
-		return mesh.South
-	case mesh.South:
-		return mesh.West
-	default:
-		return mesh.North
-	}
-}
+func DirAfterTurn(travel mesh.Dir, g Group) mesh.Dir { return travel.Turned(g.Turn()) }
 
 // GroupForStep builds the control group for one router of a route: the
 // packet arrives travelling in direction travel and must leave in direction
 // out (or eject when out == mesh.Local). multicast marks tap-and-continue.
+// A route never doubles back, so out == travel.Opposite() panics.
 func GroupForStep(travel, out mesh.Dir, multicast bool) Group {
 	g := Group{Multicast: multicast}
 	if out == mesh.Local {
@@ -360,11 +378,13 @@ func GroupForStep(travel, out mesh.Dir, multicast bool) Group {
 	return g
 }
 
-// BuildControl predecodes the dimension-order route from src to dst on m
-// into control groups. The source router's own routing decision is made at
-// injection time and is not represented as a group; Groups[0] is consumed by
-// the first router after the source. It returns the direction the source
-// must launch the packet in. src == dst is a configuration error and panics.
+// EncodeRoute predecodes a route of a links travelling first, then b links
+// travelling second, into control groups and returns them with the launch
+// direction. second must not reverse first; either leg may be empty, not
+// both. Every group from index tapFrom on carries the multicast bit. The
+// source router's own routing decision is made at injection time and is not
+// represented as a group; Group(0) is consumed by the first router after
+// the source.
 //
 // Routes longer than the 14 groups a packet can carry are truncated at an
 // interim stop on the 14th router: that node receives the packet, assumes
@@ -372,44 +392,50 @@ func GroupForStep(travel, out mesh.Dir, multicast bool) Group {
 // 2.1.3 relaunch path). This extends the 8x8 packet format to larger
 // meshes; within an 8x8 mesh no route exceeds 14 groups.
 //
+// The encoding is closed form: one mask sets every straight bit and the
+// taps, then the corner turn and the last group, an eject or the
+// truncation interim, are written over them.
+func EncodeRoute(first mesh.Dir, a int, second mesh.Dir, b int, tapFrom int) (Control, mesh.Dir) {
+	if a == 0 {
+		first, a, b = second, b, 0
+	}
+	n := a + b
+	if n == 0 {
+		panic("packet: EncodeRoute of an empty route")
+	}
+	used := min(n, MaxGroups)
+	var c Control
+	c.toggle(0, used, bitStraight)
+	c.toggle(tapFrom, used, bitMulticast)
+	if b > 0 && a <= used {
+		c.toggle(a-1, a, bitStraight^uint64(GroupForStep(first, second, false).Pack()))
+	}
+	// The last group ejects instead of going straight on; a truncation
+	// interim ejects and keeps the direction the journey continues in.
+	last := uint64(bitLocal)
+	if n <= MaxGroups {
+		last |= bitStraight
+	}
+	c.toggle(used-1, used, last)
+	return c, first
+}
+
+// BuildControl predecodes the dimension-order route from src to dst on m
+// into control groups with EncodeRoute, returning the control and the
+// direction the source must launch the packet in. src == dst is a
+// configuration error and panics.
+//
 // Ownership: route compilation belongs to the topology layer. Simulators
 // and harnesses must obtain control words through a topo.Topology's
 // ControlEncoder (topo.Mesh2D delegates here); calling BuildControl
 // directly outside internal/topo and this package's tests is deprecated —
 // it hard-wires the caller to mesh geometry.
 func BuildControl(m *mesh.Mesh, src, dst mesh.NodeID) (Control, mesh.Dir) {
-	total := m.HopDistance(src, dst)
-	if total == 0 {
+	if src == dst {
 		panic(fmt.Sprintf("packet: BuildControl with src == dst == %d", src))
 	}
-	// The route directions are read via mesh.RouteDir rather than a
-	// materialised m.Route slice: BuildControl sits on the relaunch hot
-	// path (every bypass re-segmentation) and must not allocate.
-	n, truncated := total, false
-	if n > MaxGroups {
-		n, truncated = MaxGroups, true
-	}
-	var c Control
-	launch := m.RouteDir(src, dst, 0)
-	for i := 1; i <= n; i++ {
-		travel := m.RouteDir(src, dst, i-1)
-		out := mesh.Local
-		if i < n {
-			out = m.RouteDir(src, dst, i)
-		}
-		c.Groups[i-1] = GroupForStep(travel, out, false)
-		c.Used = i
-	}
-	if truncated {
-		// The final group becomes an interim stop: Local plus the
-		// direction the journey continues in.
-		last := &c.Groups[c.Used-1]
-		last.Local = true
-		cont := m.RouteDir(src, dst, MaxGroups)
-		g := GroupForStep(m.RouteDir(src, dst, n-1), cont, false)
-		last.Straight, last.Left, last.Right = g.Straight, g.Left, g.Right
-	}
-	return c, launch
+	h, a, v, b := m.Legs(src, dst)
+	return EncodeRoute(h, a, v, b, MaxGroups)
 }
 
 // ControlFromDirs predecodes an explicit sequence of travel directions
@@ -418,9 +444,10 @@ func BuildControl(m *mesh.Mesh, src, dst mesh.NodeID) (Control, mesh.Dir) {
 // for fault-aware detours that leave the dimension-order template: dirs
 // lists every link of the route in travel order, and consecutive
 // directions must differ by at most one turn (no reversals — a minimal
-// route never doubles back). Routes longer than MaxGroups are truncated
-// at an interim stop exactly as BuildControl truncates, leaving the
-// interim node to rebuild the remainder. It panics on an empty route.
+// route never doubles back; GroupForStep panics on one). Routes longer
+// than MaxGroups are truncated at an interim stop exactly as EncodeRoute
+// truncates, leaving the interim node to rebuild the remainder. It builds
+// the control group by group and panics on an empty route.
 func ControlFromDirs(dirs []mesh.Dir) (Control, mesh.Dir) {
 	if len(dirs) == 0 {
 		panic("packet: ControlFromDirs with empty route")
@@ -435,14 +462,12 @@ func ControlFromDirs(dirs []mesh.Dir) (Control, mesh.Dir) {
 		if i < n {
 			out = dirs[i]
 		}
-		c.Groups[i-1] = GroupForStep(dirs[i-1], out, false)
-		c.Used = i
+		c.SetGroup(i-1, GroupForStep(dirs[i-1], out, false))
 	}
 	if truncated {
-		last := &c.Groups[c.Used-1]
-		last.Local = true
 		g := GroupForStep(dirs[n-1], dirs[n], false)
-		last.Straight, last.Left, last.Right = g.Straight, g.Left, g.Right
+		g.Local = true
+		c.SetGroup(n-1, g)
 	}
 	return c, dirs[0]
 }
@@ -458,8 +483,9 @@ func (c *Control) MarkInterims(maxHops int) {
 	if maxHops < 1 {
 		panic(fmt.Sprintf("packet: MarkInterims with maxHops %d", maxHops))
 	}
-	for i := maxHops - 1; i < c.Used-1; i += maxHops {
-		c.Groups[i].Local = true
+	for i, last := maxHops-1, c.Used()-1; i < last; i += maxHops {
+		w, shift := c.word(i)
+		*w |= bitLocal << shift
 	}
 }
 
@@ -468,12 +494,23 @@ func (c *Control) MarkInterims(maxHops int) {
 // before the packet is next received), or Used when no Local bit remains
 // (malformed; Validate rejects such controls).
 func (c *Control) NextStop() int {
-	for i := 0; i < c.Used; i++ {
-		if c.Groups[i].Local {
-			return i + 1
-		}
+	if l := c.C0 & (bitLocal * wordOnes); l != 0 {
+		return bits.TrailingZeros64(l)/GroupBits + 1
 	}
-	return c.Used
+	if l := c.C1 & (bitLocal * wordOnes); l != 0 {
+		return groupsPerWord + bits.TrailingZeros64(l)/GroupBits + 1
+	}
+	return c.Used()
+}
+
+// Segment returns the link count of the control's next single-cycle
+// segment (NextStop) and the number of multicast taps at the routers the
+// segment passes through before its stop, for transmit-energy accounting.
+func (c *Control) Segment() (links, taps int) {
+	links = c.NextStop()
+	taps = bits.OnesCount64(c.C0&(bitMulticast*onesBelow(links-1))) +
+		bits.OnesCount64(c.C1&(bitMulticast*onesBelow(links-1-groupsPerWord)))
+	return links, taps
 }
 
 // MulticastMessage is one column-sweep message of a broadcast: the launch
@@ -501,7 +538,6 @@ func BuildBroadcast(m *mesh.Mesh, src mesh.NodeID, maxHops int) []MulticastMessa
 		m: m, src: src,
 		msgs:     make([]MulticastMessage, 0, 2*m.Width()),
 		delivers: make([]mesh.NodeID, 0, m.Nodes()-1),
-		dirs:     make([]mesh.Dir, 0, m.Width()+m.Height()),
 	}
 	for x := 0; x < m.Width(); x++ {
 		if cs.Y < top {
@@ -526,14 +562,13 @@ func BuildBroadcast(m *mesh.Mesh, src mesh.NodeID, maxHops int) []MulticastMessa
 	return b.msgs
 }
 
-// sweepSet accumulates one broadcast's sweeps in three allocations: the
-// messages, the array their Delivers share, and the route scratch.
+// sweepSet accumulates one broadcast's sweeps in two allocations: the
+// messages and the array their Delivers share.
 type sweepSet struct {
 	m        *mesh.Mesh
 	src      mesh.NodeID
 	msgs     []MulticastMessage
 	delivers []mesh.NodeID
-	dirs     []mesh.Dir
 }
 
 // add appends the multicast message from src that serves rows
@@ -550,31 +585,14 @@ func (b *sweepSet) add(x int, vert mesh.Dir, yFirst, yLast int) {
 		return
 	}
 	// Horizontal approach along src's row, then the vertical sweep.
-	h := mesh.East
-	if x < cs.X {
-		h = mesh.West
-	}
-	dirs := b.dirs[:0]
-	for i := 0; i < absInt(x-cs.X); i++ {
-		dirs = append(dirs, h)
-	}
-	for i := 0; i < absInt(yLast-cs.Y); i++ {
-		dirs = append(dirs, vert)
-	}
-	b.dirs = dirs
-	if len(dirs) == 0 {
+	h, across, _, rows := m.Legs(src, m.ID(mesh.Coord{X: x, Y: yLast}))
+	if across+rows == 0 {
 		return
 	}
-	// Sweeps longer than the control capacity are truncated at an
-	// interim stop that relaunches the remainder (see BuildControl).
-	var contDir mesh.Dir
-	truncated := false
-	if len(dirs) > MaxGroups {
-		contDir = dirs[MaxGroups]
-		dirs = dirs[:MaxGroups]
-		truncated = true
-	}
-	msg := MulticastMessage{Launch: dirs[0]}
+	// Router across-1 is the corner at row cs.Y, and each later router is
+	// one row further: the taps start at the router of row yFirst.
+	var msg MulticastMessage
+	msg.Control, msg.Launch = EncodeRoute(h, across, vert, rows, across-1+(yFirst-cs.Y)*step)
 	// Delivery set: every node of the column segment.
 	start := len(b.delivers)
 	for y := yFirst; ; y += step {
@@ -584,38 +602,5 @@ func (b *sweepSet) add(x int, vert mesh.Dir, yFirst, yLast int) {
 		}
 	}
 	msg.Delivers = b.delivers[start:len(b.delivers):len(b.delivers)]
-	// Control groups: router i (0-based, the i-th router after src) sees
-	// travel dirs[i] and exits dirs[i+1] (Local at the end). Multicast
-	// bit set on every group that serves a delivery node: a node of
-	// column x between the segment's ends.
-	cur := src
-	for i := 0; i < len(dirs); i++ {
-		next, ok := m.Neighbor(cur, dirs[i])
-		if !ok {
-			panic(fmt.Sprintf("packet: broadcast sweep walks off mesh at %d going %s", cur, dirs[i]))
-		}
-		cur = next
-		out := mesh.Local
-		if i+1 < len(dirs) {
-			out = dirs[i+1]
-		}
-		c := m.Coord(cur)
-		deliver := c.X == x && (c.Y-yFirst)*step >= 0 && (yLast-c.Y)*step >= 0
-		msg.Control.Groups[i] = GroupForStep(dirs[i], out, deliver)
-		msg.Control.Used = i + 1
-	}
-	if truncated {
-		last := &msg.Control.Groups[msg.Control.Used-1]
-		last.Local = true
-		g := GroupForStep(dirs[len(dirs)-1], contDir, false)
-		last.Straight, last.Left, last.Right = g.Straight, g.Left, g.Right
-	}
 	b.msgs = append(b.msgs, msg)
-}
-
-func absInt(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

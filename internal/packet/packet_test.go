@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"phastlane/internal/mesh"
 )
@@ -49,27 +50,26 @@ func TestGroupInterim(t *testing.T) {
 
 func TestControlShift(t *testing.T) {
 	var c Control
-	c.Groups[0] = Group{Straight: true}
-	c.Groups[1] = Group{Right: true}
-	c.Groups[2] = Group{Local: true}
-	c.Used = 3
+	c.SetGroup(0, Group{Straight: true})
+	c.SetGroup(1, Group{Right: true})
+	c.SetGroup(2, Group{Local: true})
 	if got := c.Shift(); !got.Straight {
 		t.Fatalf("first shift = %s", got)
 	}
 	if got := c.Head(); !got.Right {
 		t.Fatalf("head after shift = %s", got)
 	}
-	if c.Used != 2 {
-		t.Fatalf("used after shift = %d", c.Used)
+	if c.Used() != 2 {
+		t.Fatalf("used after shift = %d", c.Used())
 	}
 	c.Shift()
 	c.Shift()
-	if c.Used != 0 || !c.Head().Zero() {
+	if c.Used() != 0 || !c.Head().Zero() {
 		t.Fatalf("control not empty after consuming all groups: %s", c.String())
 	}
 	// Shifting an empty control stays empty.
 	c.Shift()
-	if c.Used != 0 {
+	if c.Used() != 0 {
 		t.Fatal("shift on empty control changed Used")
 	}
 }
@@ -81,13 +81,13 @@ func TestBuildControlStraightLine(t *testing.T) {
 	if launch != mesh.East {
 		t.Fatalf("launch = %s, want E", launch)
 	}
-	if c.Used != 3 {
-		t.Fatalf("used = %d, want 3", c.Used)
+	if c.Used() != 3 {
+		t.Fatalf("used = %d, want 3", c.Used())
 	}
-	if !c.Groups[0].Straight || !c.Groups[1].Straight {
+	if !c.Group(0).Straight || !c.Group(1).Straight {
 		t.Errorf("transit groups not straight: %s", c.String())
 	}
-	if !c.Groups[2].Local || c.Groups[2].Transit() {
+	if !c.Group(2).Local || c.Group(2).Transit() {
 		t.Errorf("final group should be pure Local: %s", c.String())
 	}
 	if err := c.Validate(); err != nil {
@@ -111,12 +111,12 @@ func TestBuildControlWithTurn(t *testing.T) {
 		{Straight: true},
 		{Local: true},
 	}
-	if c.Used != len(want) {
-		t.Fatalf("used = %d, want %d (%s)", c.Used, len(want), c.String())
+	if c.Used() != len(want) {
+		t.Fatalf("used = %d, want %d (%s)", c.Used(), len(want), c.String())
 	}
 	for i, g := range want {
-		if c.Groups[i] != g {
-			t.Errorf("group %d = %s, want %s", i, c.Groups[i], g)
+		if c.Group(i) != g {
+			t.Errorf("group %d = %s, want %s", i, c.Group(i), g)
 		}
 	}
 }
@@ -157,7 +157,7 @@ func TestControlWalkReachesDestination(t *testing.T) {
 				return false
 			}
 			if g.Local {
-				return cur == dst && hops == m.HopDistance(src, dst) && c.Used == 0
+				return cur == dst && hops == m.HopDistance(src, dst) && c.Used() == 0
 			}
 			travel = DirAfterTurn(travel, g)
 			cur, ok = m.Neighbor(cur, travel)
@@ -178,12 +178,12 @@ func TestMarkInterims(t *testing.T) {
 	// 3, 7, 11 (0-based), final group 13 already Local.
 	c, _ := BuildControl(m, 0, 63)
 	c.MarkInterims(4)
-	for i := 0; i < c.Used; i++ {
-		wantLocal := i == 3 || i == 7 || i == 11 || i == c.Used-1
-		if c.Groups[i].Local != wantLocal {
-			t.Errorf("group %d Local = %v, want %v", i, c.Groups[i].Local, wantLocal)
+	for i := 0; i < c.Used(); i++ {
+		wantLocal := i == 3 || i == 7 || i == 11 || i == c.Used()-1
+		if c.Group(i).Local != wantLocal {
+			t.Errorf("group %d Local = %v, want %v", i, c.Group(i).Local, wantLocal)
 		}
-		if wantLocal && i != c.Used-1 && !c.Groups[i].Interim() {
+		if wantLocal && i != c.Used()-1 && !c.Group(i).Interim() {
 			t.Errorf("group %d should be interim (keep direction)", i)
 		}
 	}
@@ -212,20 +212,45 @@ func TestNextStopNoInterim(t *testing.T) {
 
 func TestValidateRejectsMalformed(t *testing.T) {
 	var c Control
-	c.Groups[0] = Group{Straight: true}
-	c.Used = 1
+	c.SetGroup(0, Group{Straight: true})
 	if err := c.Validate(); err == nil {
 		t.Error("control not ending in Local should fail validation")
 	}
-	c.Groups[0] = Group{Local: true}
-	c.Groups[5] = Group{Straight: true} // beyond Used
+	c.SetGroup(0, Group{Local: true})
+	c.SetGroup(5, Group{Straight: true}) // past the eject: groups 2-5 empty
 	if err := c.Validate(); err == nil {
-		t.Error("set group beyond Used should fail validation")
+		t.Error("set group beyond the final eject should fail validation")
 	}
-	c.Groups[5] = Group{}
-	c.Groups[0] = Group{Straight: true, Right: true, Local: true}
+	c.SetGroup(5, Group{})
+	c.SetGroup(0, Group{Straight: true, Right: true, Local: true})
 	if err := c.Validate(); err == nil {
 		t.Error("two direction bits should fail validation")
+	}
+	// Each word carries seven groups; a bit above them is not on the wire.
+	for _, bad := range []Control{{C0: bitLocal | 1<<wordBits}, {C0: bitLocal, C1: 1 << 63}} {
+		if err := bad.Validate(); err == nil {
+			t.Errorf("control %#x/%#x with bits above group 7 should fail validation", bad.C0, bad.C1)
+		}
+	}
+}
+
+// TestControlSize pins the packed format: two 64-bit control words.
+func TestControlSize(t *testing.T) {
+	if got := unsafe.Sizeof(Control{}); got != 16 {
+		t.Errorf("Control is %d bytes, want 16", got)
+	}
+}
+
+func TestGroupForStepPanicsOnReversal(t *testing.T) {
+	for d := mesh.North; d < mesh.Local; d++ {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("GroupForStep(%s, %s) encoded a reversal", d, d.Opposite())
+				}
+			}()
+			GroupForStep(d, d.Opposite(), false)
+		}()
 	}
 }
 
@@ -358,10 +383,10 @@ func TestBuildControlTruncatesLongRoutes(t *testing.T) {
 	if launch != mesh.East {
 		t.Fatalf("launch = %s", launch)
 	}
-	if c.Used != MaxGroups {
-		t.Fatalf("used = %d, want %d", c.Used, MaxGroups)
+	if c.Used() != MaxGroups {
+		t.Fatalf("used = %d, want %d", c.Used(), MaxGroups)
 	}
-	last := c.Groups[c.Used-1]
+	last := c.Group(c.Used() - 1)
 	if !last.Interim() {
 		t.Fatalf("truncated route must end in an interim group, got %s", last)
 	}

@@ -77,8 +77,8 @@ func (t *Mesh2D) NodeLabel(n mesh.NodeID) string {
 }
 
 // EncodeControl compiles the Phastlane control word via
-// packet.BuildControl — the canonical encoder, now reached only through
-// this method.
+// packet.BuildControl, in closed form from the route's two legs — the
+// canonical encoder, now reached only through this method.
 func (t *Mesh2D) EncodeControl(src, dst mesh.NodeID) (packet.Control, mesh.Dir) {
 	return packet.BuildControl(t.m, src, dst)
 }
