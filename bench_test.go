@@ -346,20 +346,33 @@ func BenchmarkBuildBroadcast(b *testing.B) {
 	}
 }
 
+// BenchmarkISLIPMatch times one Match call in the shape of each
+// electrical allocator: sa is the switch allocator (5 input ports, 4
+// outputs, quota 4); va is one output port's VC allocator (50 VCs, 10
+// downstream VCs, quota 1), where every free downstream VC takes the same
+// request mask, as allocateVCs builds it.
 func BenchmarkISLIPMatch(b *testing.B) {
-	a := islip.New(5, 4, 4, 2)
-	req := make([]uint64, 4)
-	for out := range req {
-		for in := 0; in < 5; in++ {
-			if (in+out)%2 == 0 {
-				req[out] |= 1 << in
+	bench := func(a *islip.Allocator, req []uint64) func(*testing.B) {
+		return func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				a.Match(req)
 			}
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Match(req)
+	sa := make([]uint64, 4)
+	for out := range sa {
+		for in := 0; in < 5; in++ {
+			if (in+out)%2 == 0 {
+				sa[out] |= 1 << in
+			}
+		}
 	}
+	b.Run("sa", bench(islip.New(5, 4, 4, 2), sa))
+	va := make([]uint64, 10)
+	for _, free := range []int{0, 2, 3, 5, 8, 9} {
+		va[free] = 1<<3 | 1<<17 | 1<<26 | 1<<41 // VCs wanting this output
+	}
+	b.Run("va", bench(islip.New(50, 10, 1, 2), va))
 }
 
 func BenchmarkTraceGeneration(b *testing.B) {

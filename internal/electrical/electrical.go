@@ -123,24 +123,19 @@ type epacket struct {
 	refs int
 }
 
-// branch is one pending replication of a packet out of a router.
-type branch struct {
-	dir   mesh.Dir
-	outVC int // downstream VC reserved by VA, or -1
-}
-
 // vcState is one single-flit virtual channel.
 type vcState struct {
 	pkt     *epacket
 	age     int
 	deliver bool // pending ejection to the local node
-	// bit is this VC's position port*VCs+vc in its router's occupied
-	// mask and in the VC allocators' input numbering.
-	bit      uint8
-	branches []branch
-	// availAt is when the (empty) VC may be reserved again by an
-	// upstream VA - the credit round-trip of wait-for-tail-credit.
-	availAt  int64
+	// bit is this VC's position port*VCs+vc in its router's masks and
+	// in the VC allocators' input numbering.
+	bit uint8
+	// dirs has bit d set while a replication toward link direction d
+	// is pending (at most one per direction); outVC[d] is the
+	// downstream VC VA reserved for it, valid while held[d] has bit.
+	dirs     uint8
+	outVC    [mesh.NumLinkDirs]int8
 	reserved bool
 }
 
@@ -148,15 +143,27 @@ func (v *vcState) empty() bool { return v.pkt == nil }
 
 // erouter is one baseline router: five input ports (N, E, S, W, local
 // injection) of VCs single-flit channels, per-output-port VC allocators,
-// and a switch allocator with input speedup. occupied has bit vc.bit set
-// exactly while that VC holds a packet (set in fill, cleared in
-// freeIfDone), so the per-cycle phases visit only occupied VCs.
+// and a switch allocator with input speedup. vcs is indexed by bit, and
+// every mask numbers VCs the same way:
+//   - occupied: the VC holds a packet (set in fill, cleared in freeIfDone),
+//     so the per-cycle phases visit only occupied VCs;
+//   - free: the VC is empty, unreserved and past its credit round-trip
+//     (cleared by VA's reserve and by fill, set from credits and by
+//     losePacket's release);
+//   - credits: the VC was freed this cycle; Step moves these bits to free
+//     after the age phase, so the VC is reservable from the next cycle
+//     (wait-for-tail-credit);
+//   - want[d]: a replication toward d is pending without a downstream VC;
+//   - held[d]: a replication toward d holds one.
 type erouter struct {
-	vcs      [mesh.NumDirs][]vcState
-	occupied uint64
-	va       [mesh.NumLinkDirs]*islip.Allocator
-	sa       *islip.Allocator
-	nic      []*epacket
+	vcs        []vcState
+	occupied   uint64
+	free       uint64
+	credits    uint64
+	want, held [mesh.NumLinkDirs]uint64
+	va         [mesh.NumLinkDirs]*islip.Allocator
+	sa         *islip.Allocator
+	nic        []*epacket
 }
 
 // arrival is a flit in transit on a link, applied at the next cycle.
@@ -213,6 +220,10 @@ type Network struct {
 	nextScan    int64
 	starveAfter int64
 
+	// credited lists the routers with credits pending this cycle, each
+	// once; sized for every router in New, so it never grows.
+	credited []mesh.NodeID
+
 	run   stats.Run
 	cycle int64
 }
@@ -240,14 +251,41 @@ func (n *Network) SetPhases(p *telemetry.Phases) { n.phases = p }
 func (n *Network) ActiveRouters() int { return n.active.Len() }
 
 // CheckInvariants audits the active-set contract busy(node) ⇒ member
-// for every router. It is O(nodes) and meant for watchdog flush
-// boundaries, never the per-cycle path.
+// for every router, and every VC against its router's masks: occupied ⇔
+// holding a packet; free ⇔ empty, unreserved and not among credits,
+// which hold only empty, unreserved VCs; want[d] | held[d] ⇔ dirs bit d,
+// with want[d] and held[d] disjoint and set only on occupied VCs. It is
+// O(nodes·VCs) and meant for watchdog flush boundaries, never the
+// per-cycle path.
 func (n *Network) CheckInvariants() error {
 	for node := range n.routers {
-		id := mesh.NodeID(node)
+		id, r := mesh.NodeID(node), &n.routers[node]
 		if n.busy(id) && !n.active.Has(id) {
 			return fmt.Errorf("electrical: router %d busy (occupied %#x, nic %d) but not in the active set",
-				node, n.routers[id].occupied, len(n.routers[id].nic))
+				node, r.occupied, len(r.nic))
+		}
+		var occ, free uint64
+		var dirs [mesh.NumLinkDirs]uint64
+		for i := range r.vcs {
+			vc := &r.vcs[i]
+			if !vc.empty() {
+				occ |= 1 << i
+			} else if !vc.reserved {
+				free |= 1 << i
+			}
+			for d := range dirs {
+				dirs[d] |= uint64(vc.dirs>>d&1) << i
+			}
+		}
+		if occ != r.occupied || free&^r.credits != r.free || r.credits&^free != 0 {
+			return fmt.Errorf("electrical: router %d masks occupied %#x free %#x credits %#x, VCs say %#x and empty, unreserved %#x",
+				node, r.occupied, r.free, r.credits, occ, free)
+		}
+		for d := range dirs {
+			if w, h := r.want[d], r.held[d]; w|h != dirs[d] || w&h != 0 || (w|h)&^occ != 0 {
+				return fmt.Errorf("electrical: router %d direction %d masks want %#x held %#x, VCs say %#x",
+					node, d, w, h, dirs[d])
+			}
 		}
 	}
 	return nil
@@ -301,30 +339,23 @@ func newNetwork(cfg Config, dense bool) *Network {
 		bcast:   make([]*vctm.Tree, m.Nodes()),
 		active:  mesh.NewActiveSet(m.Nodes(), dense),
 		// Sized for every router, so the walk list never grows.
-		nodes: make([]mesh.NodeID, 0, m.Nodes()),
+		nodes:    make([]mesh.NodeID, 0, m.Nodes()),
+		credited: make([]mesh.NodeID, 0, m.Nodes()),
 	}
 	n.leakagePJ = power.LeakagePJ(n.energy.LeakageWPerRouter, m.Nodes(), 1, photonic.DefaultClockGHz)
-	// Every router's VCs, branch lists and NIC queue are carved from
-	// three slabs: one allocation each, not one per VC, which keeps New
-	// cheap on large meshes.
-	vcSlab := make([]vcState, m.Nodes()*mesh.NumDirs*cfg.VCs)
-	branchSlab := make([]branch, len(vcSlab)*mesh.NumLinkDirs)
+	// Every router's VCs and NIC queue are carved from two slabs: one
+	// allocation each, not one per router, which keeps New cheap on
+	// large meshes.
+	perRouter := mesh.NumDirs * cfg.VCs
+	vcSlab := make([]vcState, m.Nodes()*perRouter)
 	nicSlab := make([]*epacket, m.Nodes()*cfg.NICEntries)
 	for i := range n.routers {
 		r := &n.routers[i]
-		for p := 0; p < mesh.NumDirs; p++ {
-			r.vcs[p], vcSlab = vcSlab[:cfg.VCs:cfg.VCs], vcSlab[cfg.VCs:]
-			// Pre-size every branch list so a packet's first visit to a
-			// cold VC never allocates: at low rates the working set of
-			// (router, port, VC) states grows for thousands of cycles,
-			// and lazily-grown slices would show up as a steady
-			// allocation trickle. A packet forks into at most one branch
-			// per link direction.
-			for v := range r.vcs[p] {
-				r.vcs[p][v].bit = uint8(p*cfg.VCs + v)
-				r.vcs[p][v].branches, branchSlab = branchSlab[:0:mesh.NumLinkDirs], branchSlab[mesh.NumLinkDirs:]
-			}
+		r.vcs, vcSlab = vcSlab[:perRouter:perRouter], vcSlab[perRouter:]
+		for b := range r.vcs {
+			r.vcs[b].bit = uint8(b)
 		}
+		r.free = 1<<perRouter - 1
 		// The NIC queue is bounded; give it its full backing up front.
 		r.nic, nicSlab = nicSlab[:0:cfg.NICEntries], nicSlab[cfg.NICEntries:]
 		for p := 0; p < mesh.NumLinkDirs; p++ {
@@ -463,21 +494,20 @@ func (n *Network) Inject(m sim.Message) {
 }
 
 // fill loads a packet into an empty VC, computing its replication set (the
-// onward branches and whether it ejects locally) into the VC's reusable
-// branch scratch. The VC keeps its branch backing array across occupants so
-// the steady-state loop does not allocate.
+// onward directions, each wanting a downstream VC, and whether it ejects
+// locally).
 func (n *Network) fill(vc *vcState, p *epacket, at mesh.NodeID) {
-	bs := vc.branches[:0]
+	var dirs uint8
 	deliver := false
 	if p.tree != nil {
 		for _, d := range p.tree.Children(at) {
-			bs = append(bs, branch{dir: d, outVC: -1})
+			dirs |= 1 << d
 		}
 		deliver = p.tree.Deliver(at)
 	} else if at == p.dst {
 		deliver = true
 	} else if d, ok := n.nextDir(at, p.dst); ok {
-		bs = append(bs, branch{dir: d, outVC: -1})
+		dirs = 1 << d
 	}
 	// An unreachable unicast destination leaves the VC with no work;
 	// the fill call-sites reap it through the loss path when a plan is
@@ -485,10 +515,14 @@ func (n *Network) fill(vc *vcState, p *epacket, at mesh.NodeID) {
 	vc.pkt = p
 	vc.age = 0
 	vc.deliver = deliver
-	vc.branches = bs
-	vc.availAt = 0
+	vc.dirs = dirs
 	vc.reserved = false
-	n.routers[at].occupied |= 1 << vc.bit
+	r := &n.routers[at]
+	r.occupied |= 1 << vc.bit
+	r.free &^= 1 << vc.bit
+	for ; dirs != 0; dirs &= dirs - 1 {
+		r.want[bits.TrailingZeros8(dirs)] |= 1 << vc.bit
+	}
 }
 
 // Step implements sim.Network: apply link arrivals, eject, inject, run VC
@@ -520,6 +554,12 @@ func (n *Network) Step(buf []sim.Delivery) []sim.Delivery {
 	n.allocateSwitch(nodes)
 	sp.Mark(telemetry.PhaseSwitch)
 	n.agePhase(nodes)
+	for _, node := range n.credited {
+		r := &n.routers[node]
+		r.free |= r.credits
+		r.credits = 0
+	}
+	n.credited = n.credited[:0]
 	sp.Mark(telemetry.PhaseAge)
 	n.run.LeakagePJ += n.leakagePJ
 	n.cycle++
@@ -548,7 +588,7 @@ func (n *Network) pruneActive() []mesh.NodeID {
 // this cycle's phase walks.
 func (n *Network) applyArrivals() {
 	for _, a := range n.transit {
-		vc := &n.routers[a.node].vcs[a.port][a.vc]
+		vc := &n.routers[a.node].vcs[int(a.port)*n.cfg.VCs+a.vc]
 		if !vc.empty() || !vc.reserved {
 			panic("electrical: arrival into non-reserved VC")
 		}
@@ -556,7 +596,7 @@ func (n *Network) applyArrivals() {
 		n.fill(vc, a.pkt, a.node)
 		n.run.ElectricalEnergyPJ += n.energy.BufferWritePJ
 		n.emit(obs.KindBuffer, a.pkt.msgID, a.node, a.port)
-		if a.pkt.tree != nil && len(vc.branches) > 1 {
+		if a.pkt.tree != nil && bits.OnesCount8(vc.dirs) > 1 {
 			n.emit(obs.KindTreeFork, a.pkt.msgID, a.node, mesh.Local)
 		}
 		if n.faults != nil {
@@ -575,7 +615,7 @@ func (n *Network) ejectPhase(buf []sim.Delivery, nodes []mesh.NodeID) []sim.Deli
 		}
 		r := &n.routers[node]
 		for occ := r.occupied; occ != 0; occ &= occ - 1 {
-			vc := n.vcAt(r, bits.TrailingZeros64(occ))
+			vc := &r.vcs[bits.TrailingZeros64(occ)]
 			if !vc.deliver || vc.age < 1 {
 				continue
 			}
@@ -589,14 +629,10 @@ func (n *Network) ejectPhase(buf []sim.Delivery, nodes []mesh.NodeID) []sim.Deli
 	return buf
 }
 
-// vcAt returns the VC whose occupied-mask bit is i.
-func (n *Network) vcAt(r *erouter, i int) *vcState {
-	return &r.vcs[i/n.cfg.VCs][i%n.cfg.VCs]
-}
-
-// injectPhase moves each NIC head into a free local-port VC, one per node
-// per cycle (phase 3).
+// injectPhase moves each NIC head into the lowest free local-port VC, one
+// per node per cycle (phase 3).
 func (n *Network) injectPhase(nodes []mesh.NodeID) {
+	base := int(mesh.Local) * n.cfg.VCs
 	for _, node := range nodes {
 		r := &n.routers[node]
 		if len(r.nic) == 0 {
@@ -605,33 +641,29 @@ func (n *Network) injectPhase(nodes []mesh.NodeID) {
 		if n.faults != nil && n.faults.NodeStuck(n.cycle, node) {
 			continue
 		}
-		injected := false
-		for v := range r.vcs[mesh.Local] {
-			vc := &r.vcs[mesh.Local][v]
-			if !vc.empty() || vc.reserved || vc.availAt > n.cycle {
-				continue
+		local := r.free >> base & (1<<n.cfg.VCs - 1)
+		if local == 0 {
+			if n.nackHandler != nil {
+				// NIC head stalled with no free local VC: the credit
+				// protocol's backpressure, reported as a congestion
+				// nack against the stalling node (its own traffic is
+				// what is queued here).
+				n.nackHandler(node)
 			}
-			pkt := r.nic[0]
-			copy(r.nic, r.nic[1:])
-			r.nic = r.nic[:len(r.nic)-1]
-			n.fill(vc, pkt, node)
-			n.run.ElectricalEnergyPJ += n.energy.BufferWritePJ
-			n.emit(obs.KindLaunch, pkt.msgID, node, mesh.Local)
-			if pkt.tree != nil && len(vc.branches) > 1 {
-				n.emit(obs.KindTreeFork, pkt.msgID, node, mesh.Local)
-			}
-			if n.faults != nil {
-				n.reapStranded(vc, node)
-			}
-			injected = true
-			break
+			continue
 		}
-		if !injected && n.nackHandler != nil {
-			// NIC head stalled with no free local VC: the credit
-			// protocol's backpressure, reported as a congestion nack
-			// against the stalling node (its own traffic is what is
-			// queued here).
-			n.nackHandler(node)
+		vc := &r.vcs[base+bits.TrailingZeros64(local)]
+		pkt := r.nic[0]
+		copy(r.nic, r.nic[1:])
+		r.nic = r.nic[:len(r.nic)-1]
+		n.fill(vc, pkt, node)
+		n.run.ElectricalEnergyPJ += n.energy.BufferWritePJ
+		n.emit(obs.KindLaunch, pkt.msgID, node, mesh.Local)
+		if pkt.tree != nil && bits.OnesCount8(vc.dirs) > 1 {
+			n.emit(obs.KindTreeFork, pkt.msgID, node, mesh.Local)
+		}
+		if n.faults != nil {
+			n.reapStranded(vc, node)
 		}
 	}
 }
@@ -645,46 +677,41 @@ func (n *Network) agePhase(nodes []mesh.NodeID) {
 		}
 		r := &n.routers[node]
 		for occ := r.occupied; occ != 0; occ &= occ - 1 {
-			n.vcAt(r, bits.TrailingZeros64(occ)).age++
+			r.vcs[bits.TrailingZeros64(occ)].age++
 		}
 	}
 }
 
-// freeIfDone releases a VC whose packet has no pending work; the credit
+// freeIfDone releases a VC whose packet has no pending work; its credit
 // returns to upstream VA one cycle later (wait-for-tail-credit). The VC's
 // reference to the packet drops, recycling it once no transit arrival
 // holds it either. node is the router owning vc.
 func (n *Network) freeIfDone(node mesh.NodeID, vc *vcState) {
-	if vc.deliver || len(vc.branches) > 0 {
+	if vc.deliver || vc.dirs != 0 {
 		return
 	}
 	n.dropRef(vc.pkt)
 	vc.pkt = nil
 	vc.age = 0
-	vc.availAt = n.cycle + 1
-	n.routers[node].occupied &^= 1 << vc.bit
+	r := &n.routers[node]
+	r.occupied &^= 1 << vc.bit
+	if r.credits == 0 {
+		n.credited = append(n.credited, node)
+	}
+	r.credits |= 1 << vc.bit
 }
 
-// allocateVCs runs the per-output-port iSLIP VC allocators (phase 4). One
-// pass over a router's occupied VCs builds every output's request mask
-// (input bit vc.bit); only free downstream VCs take requests, so outputs
-// without requests or credits skip the matching entirely.
+// allocateVCs runs the per-output-port iSLIP VC allocators (phase 4).
+// Output d's requesters are want[d], and every free downstream VC takes
+// that same request mask, so outputs without requests or credits skip the
+// matching entirely.
 func (n *Network) allocateVCs(nodes []mesh.NodeID) {
 	for _, node := range nodes {
 		if n.faults != nil && n.faults.NodeStuck(n.cycle, node) {
 			continue
 		}
 		r := &n.routers[node]
-		var wants [mesh.NumLinkDirs]uint64
-		for occ := r.occupied; occ != 0; occ &= occ - 1 {
-			i := bits.TrailingZeros64(occ)
-			for _, b := range n.vcAt(r, i).branches {
-				if b.outVC < 0 {
-					wants[b.dir] |= 1 << i
-				}
-			}
-		}
-		for out, want := range wants {
+		for out, want := range r.want {
 			if want == 0 {
 				continue
 			}
@@ -699,41 +726,35 @@ func (n *Network) allocateVCs(nodes []mesh.NodeID) {
 				continue
 			}
 			down := &n.routers[next]
-			inPort := dir.Opposite()
+			base := int(dir.Opposite()) * n.cfg.VCs
 			// Failed buffer slots mask the highest-numbered VCs of the
-			// downstream port for new reservations.
+			// downstream port for new reservations. Overlapping slot
+			// faults can sum past the VC count.
 			limit := n.cfg.VCs
 			if n.faults != nil {
-				limit -= n.faults.LostSlots(n.cycle, next, inPort)
+				limit = max(0, limit-n.faults.LostSlots(n.cycle, next, dir.Opposite()))
 			}
-			var req [maxVCs]uint64
-			anyFree := false
-			for v := 0; v < limit; v++ {
-				if dvc := &down.vcs[inPort][v]; dvc.empty() && !dvc.reserved && dvc.availAt <= n.cycle {
-					req[v] = want
-					anyFree = true
-				}
-			}
-			if !anyFree {
+			free := down.free >> base & (1<<limit - 1)
+			if free == 0 {
 				// Credit starvation: packets want this output but
-				// every downstream VC is occupied or inside its
-				// credit round-trip.
+				// every downstream VC is occupied, reserved or inside
+				// its credit round-trip.
 				n.emit(obs.KindCreditStall, 0, node, dir)
 				continue
 			}
-			match := r.va[out].Match(req[:n.cfg.VCs])
-			for outVC, in := range match {
-				if in < 0 {
-					continue
-				}
-				vc := n.vcAt(r, in)
-				for i := range vc.branches {
-					if vc.branches[i].dir == dir && vc.branches[i].outVC < 0 {
-						vc.branches[i].outVC = outVC
-						break
-					}
-				}
-				down.vcs[inPort][outVC].reserved = true
+			var req [maxVCs]uint64
+			for f := free; f != 0; f &= f - 1 {
+				req[bits.TrailingZeros64(f)] = want
+			}
+			matched, in := r.va[out].Match(req[:n.cfg.VCs])
+			for ; matched != 0; matched &= matched - 1 {
+				outVC := bits.TrailingZeros64(matched)
+				vc := &r.vcs[in[outVC]]
+				vc.outVC[out] = int8(outVC)
+				r.want[out] &^= 1 << vc.bit
+				r.held[out] |= 1 << vc.bit
+				down.vcs[base+outVC].reserved = true
+				down.free &^= 1 << (base + outVC)
 				n.run.ElectricalEnergyPJ += n.energy.ArbitrationPJ
 				n.emit(obs.KindVCAlloc, vc.pkt.msgID, node, dir)
 			}
@@ -751,66 +772,53 @@ func (n *Network) allocateSwitch(nodes []mesh.NodeID) {
 			continue
 		}
 		r := &n.routers[node]
-		// An input port requests an output when any of its VCs has
-		// an allocated, unsent branch and has aged through the
-		// pipeline. A dead output link takes no requests: an already
-		// allocated branch holds its downstream VC until the link
-		// heals or the watchdog reclaims the packet.
-		var req [mesh.NumLinkDirs]uint64
+		// ripe holds the VCs aged through the pipeline. An input port
+		// requests an output when one of its ripe VCs holds a
+		// downstream VC there. A dead output link takes no requests: a
+		// held VC keeps its reservation until the link heals or the
+		// watchdog reclaims the packet.
+		var ripe uint64
 		for occ := r.occupied; occ != 0; occ &= occ - 1 {
-			i := bits.TrailingZeros64(occ)
-			vc := n.vcAt(r, i)
-			if vc.age < ready {
+			if i := bits.TrailingZeros64(occ); r.vcs[i].age >= ready {
+				ripe |= 1 << i
+			}
+		}
+		var req [mesh.NumLinkDirs]uint64
+		for out, held := range r.held {
+			held &= ripe
+			if held == 0 || n.faults != nil && n.faults.LinkDown(n.cycle, node, mesh.Dir(out)) {
 				continue
 			}
-			for _, b := range vc.branches {
-				if b.outVC >= 0 {
-					req[b.dir] |= 1 << (i / n.cfg.VCs)
+			for p := 0; p < mesh.NumDirs; p++ {
+				if held>>(p*n.cfg.VCs)&portVCs != 0 {
+					req[out] |= 1 << p
 				}
 			}
 		}
-		if n.faults != nil {
-			for out := range req {
-				if n.faults.LinkDown(n.cycle, node, mesh.Dir(out)) {
-					req[out] = 0
-				}
-			}
-		}
-		match := r.sa.Match(req[:])
-		for out, in := range match {
-			if in < 0 {
-				continue
-			}
+		matched, in := r.sa.Match(req[:])
+		for ; matched != 0; matched &= matched - 1 {
+			out := bits.TrailingZeros64(matched)
 			dir := mesh.Dir(out)
-			// Pick the oldest eligible VC on this input port.
-			bestV, bestAge, bestB := -1, -1, -1
-			for occ := r.occupied >> (in * n.cfg.VCs) & portVCs; occ != 0; occ &= occ - 1 {
-				v := bits.TrailingZeros64(occ)
-				vc := &r.vcs[in][v]
-				if vc.age < ready || vc.age <= bestAge {
-					continue
-				}
-				for bi, b := range vc.branches {
-					if b.dir == dir && b.outVC >= 0 {
-						bestV, bestAge, bestB = v, vc.age, bi
-						break
-					}
+			// Send the oldest ripe VC of the granted input port that
+			// holds this output, the lowest on ties.
+			cands := r.held[out] & ripe & (portVCs << (in[out] * n.cfg.VCs))
+			best := bits.TrailingZeros64(cands)
+			for c := cands & (cands - 1); c != 0; c &= c - 1 {
+				if i := bits.TrailingZeros64(c); r.vcs[i].age > r.vcs[best].age {
+					best = i
 				}
 			}
-			if bestV < 0 {
-				panic("electrical: SA grant without eligible VC")
-			}
-			vc := &r.vcs[in][bestV]
-			b := vc.branches[bestB]
+			vc := &r.vcs[best]
 			next, ok := n.m.Neighbor(node, dir)
 			if !ok {
 				panic("electrical: traversal off mesh edge")
 			}
 			vc.pkt.refs++ // the transit arrival is a new holder
 			n.transit = append(n.transit, arrival{
-				node: next, port: dir.Opposite(), vc: b.outVC, pkt: vc.pkt,
+				node: next, port: dir.Opposite(), vc: int(vc.outVC[out]), pkt: vc.pkt,
 			})
-			vc.branches = append(vc.branches[:bestB], vc.branches[bestB+1:]...)
+			vc.dirs &^= 1 << out
+			r.held[out] &^= 1 << best
 			n.run.ElectricalEnergyPJ += n.energy.BufferReadPJ + n.energy.CrossbarPJ +
 				n.energy.LinkPJ + n.energy.ArbitrationPJ
 			n.run.LinkTraversals++

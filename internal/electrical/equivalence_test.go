@@ -58,11 +58,17 @@ func (d *diffNets) inject(t *testing.T, m sim.Message) bool {
 }
 
 // step advances both networks one cycle and fails the test on any
-// divergence in deliveries or quiescence.
+// divergence in deliveries or quiescence, or on either kernel failing its
+// mask and active-set audit (CheckInvariants).
 func (d *diffNets) step(t *testing.T) {
 	t.Helper()
 	evBuf := d.ev.Step(nil)
 	refBuf := d.ref.Step(nil)
+	for _, n := range []*Network{d.ev, d.ref} {
+		if err := n.CheckInvariants(); err != nil {
+			t.Fatalf("cycle %d: %v", d.cycle, err)
+		}
+	}
 	if len(evBuf) != len(refBuf) {
 		t.Fatalf("cycle %d: %d deliveries vs %d on the reference", d.cycle, len(evBuf), len(refBuf))
 	}

@@ -14,6 +14,8 @@ package electrical
 // protocol to hold them for).
 
 import (
+	"math/bits"
+
 	"phastlane/internal/fault"
 	"phastlane/internal/mesh"
 	"phastlane/internal/obs"
@@ -109,32 +111,27 @@ func (n *Network) emitTransition(tr fault.Transition) {
 	n.emit(obs.KindFault, 0, tr.Node, tr.Dir)
 }
 
-// rerouteFaults re-resolves the route of every unallocated unicast branch
-// that points at a link dead as of this cycle. Branches that already hold
-// a downstream VC keep it (the switch allocator skips them while the link
-// is dead); multicast branches are pinned to their tree.
+// rerouteFaults re-resolves the route of every unicast VC still wanting
+// a link dead as of this cycle. A VC that already holds a downstream VC
+// keeps it (the switch allocator skips it while the link is dead);
+// multicast replications are pinned to their tree.
 func (n *Network) rerouteFaults() {
 	for node := range n.routers {
 		at := mesh.NodeID(node)
 		r := &n.routers[node]
-		for p := 0; p < mesh.NumDirs; p++ {
-			for v := range r.vcs[p] {
-				vc := &r.vcs[p][v]
-				if vc.empty() || vc.pkt.tree != nil {
-					continue
-				}
-				for i := range vc.branches {
-					b := &vc.branches[i]
-					if b.outVC >= 0 || !n.faults.LinkDown(n.cycle, at, b.dir) {
-						continue
-					}
-					if d, ok := n.nextDir(at, vc.pkt.dst); ok {
-						b.dir = d
-					} else {
-						n.losePacket(vc, at, sim.LossUnreachable)
-						break // the VC is empty now
-					}
-				}
+		for occ := r.occupied; occ != 0; occ &= occ - 1 {
+			vc := &r.vcs[bits.TrailingZeros64(occ)]
+			d := mesh.Dir(bits.TrailingZeros8(vc.dirs))
+			if vc.pkt.tree != nil || vc.dirs == 0 || r.want[d]>>vc.bit&1 == 0 ||
+				!n.faults.LinkDown(n.cycle, at, d) {
+				continue
+			}
+			if nd, ok := n.nextDir(at, vc.pkt.dst); ok {
+				r.want[d] &^= 1 << vc.bit
+				r.want[nd] |= 1 << vc.bit
+				vc.dirs = 1 << nd
+			} else {
+				n.losePacket(vc, at, sim.LossUnreachable)
 			}
 		}
 	}
@@ -144,7 +141,7 @@ func (n *Network) rerouteFaults() {
 // because its unicast destination is unreachable under the current fault
 // set. Called from the two fill sites only when a plan is armed.
 func (n *Network) reapStranded(vc *vcState, at mesh.NodeID) {
-	if vc.deliver || len(vc.branches) > 0 {
+	if vc.deliver || vc.dirs != 0 {
 		return
 	}
 	n.losePacket(vc, at, sim.LossUnreachable)
@@ -152,28 +149,33 @@ func (n *Network) reapStranded(vc *vcState, at mesh.NodeID) {
 
 // losePacket abandons the packet replica occupying vc: its outstanding
 // deliveries (the local ejection plus every destination in the subtrees
-// of its remaining branches) are reported lost, downstream VC
-// reservations are released, and the VC frees.
+// of its pending replications) are reported lost, downstream VC
+// reservations are released to their routers' free masks, and the VC
+// frees.
 func (n *Network) losePacket(vc *vcState, at mesh.NodeID, reason sim.LossReason) {
+	r := &n.routers[at]
+	t := vc.pkt.tree
 	count := 1
-	if t := vc.pkt.tree; t != nil {
+	if t != nil && !vc.deliver {
 		count = 0
-		if vc.deliver {
-			count++
-		}
-		for _, b := range vc.branches {
-			count += n.subtreeDeliveries(t, n.branchTarget(at, b.dir))
-		}
 	}
-	for _, b := range vc.branches {
-		if b.outVC >= 0 {
-			next := n.branchTarget(at, b.dir)
-			n.routers[next].vcs[b.dir.Opposite()][b.outVC].reserved = false
+	for ds := vc.dirs; ds != 0; ds &= ds - 1 {
+		d := mesh.Dir(bits.TrailingZeros8(ds))
+		next := n.branchTarget(at, d)
+		if t != nil {
+			count += n.subtreeDeliveries(t, next)
 		}
+		if r.held[d]>>vc.bit&1 == 1 {
+			b := int(d.Opposite())*n.cfg.VCs + int(vc.outVC[d])
+			n.routers[next].vcs[b].reserved = false
+			n.routers[next].free |= 1 << b
+		}
+		r.want[d] &^= 1 << vc.bit
+		r.held[d] &^= 1 << vc.bit
 	}
 	n.reportLoss(vc.pkt.msgID, at, count, reason)
 	vc.deliver = false
-	vc.branches = vc.branches[:0]
+	vc.dirs = 0
 	n.freeIfDone(at, vc)
 }
 
@@ -238,20 +240,18 @@ func (n *Network) watchdogScan() {
 			}
 			r.nic = r.nic[:w]
 		}
-		for p := 0; p < mesh.NumDirs; p++ {
-			for v := range r.vcs[p] {
-				vc := &r.vcs[p][v]
-				if vc.empty() {
-					continue
-				}
-				age := n.cycle - vc.pkt.born
-				if n.cfg.LossTimeout > 0 && age >= n.cfg.LossTimeout {
-					n.losePacket(vc, at, sim.LossTimeout)
-					continue
-				}
-				if age >= n.starveAfter && age-n.watchEvery < n.starveAfter {
-					n.emit(obs.KindStarve, vc.pkt.msgID, at, mesh.Dir(p))
-				}
+		for i := range r.vcs {
+			vc := &r.vcs[i]
+			if vc.empty() {
+				continue
+			}
+			age := n.cycle - vc.pkt.born
+			if n.cfg.LossTimeout > 0 && age >= n.cfg.LossTimeout {
+				n.losePacket(vc, at, sim.LossTimeout)
+				continue
+			}
+			if age >= n.starveAfter && age-n.watchEvery < n.starveAfter {
+				n.emit(obs.KindStarve, vc.pkt.msgID, at, mesh.Dir(i/n.cfg.VCs))
 			}
 		}
 	}

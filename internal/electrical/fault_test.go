@@ -6,6 +6,7 @@ import (
 
 	"phastlane/internal/fault"
 	"phastlane/internal/mesh"
+	"phastlane/internal/obs"
 	"phastlane/internal/packet"
 	"phastlane/internal/sim"
 	"phastlane/internal/stats"
@@ -180,5 +181,63 @@ func TestNICSlotFaultReducesCapacity(t *testing.T) {
 	}
 	if free := n.NICFree(5); free != DefaultConfig().NICEntries {
 		t.Fatalf("healthy NICFree = %d", free)
+	}
+}
+
+// TestLostReservationReleased pins the loss path's reservation release.
+// On a 3×2 mesh with one VC a port, a multicast from node 0 to {1, 2}
+// reaches branch router 1 at cycle 3, where VA reserves node 2's only
+// West VC. From cycle 4, before the switch allocator could send the
+// replica, the link 1→2 dies and router 1 sticks, which also holds its
+// local ejection. The watchdog's timeout must report both outstanding
+// deliveries and hand the reservation back, so once the faults heal a
+// later packet crosses the same link into that VC.
+func TestLostReservationReleased(t *testing.T) {
+	const heal = 150
+	n := mustNew(t, func(c *Config) {
+		c.Width, c.Height, c.VCs = 3, 2, 1
+		c.LossTimeout = 100
+		c.Faults = &fault.Plan{Faults: []fault.Fault{
+			{Kind: fault.DeadLink, Node: 1, Dir: mesh.East, From: 4, Until: heal},
+			{Kind: fault.StuckRouter, Node: 1, From: 4, Until: heal},
+		}}
+	})
+	var losses []sim.Loss
+	n.SetLossHandler(func(l sim.Loss) { losses = append(losses, l) })
+	var reserved []int64 // cycles of VA grants from router 1 toward node 2
+	n.SetTracer(func(e obs.Event) {
+		if e.Kind == obs.KindVCAlloc && e.Node == 1 && e.Dir == mesh.East {
+			reserved = append(reserved, e.Cycle)
+		}
+	})
+	var deliveries []sim.Delivery
+	step := func(cycles int) {
+		for i := 0; i < cycles; i++ {
+			deliveries = n.Step(deliveries)
+			if err := n.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	n.Inject(sim.Message{ID: 1, Src: 0, Dsts: []mesh.NodeID{1, 2}, Op: packet.OpSynthetic})
+	step(heal)
+	if len(reserved) != 1 || reserved[0] != 3 {
+		t.Fatalf("router 1 reserved toward node 2 at cycles %v, want only cycle 3", reserved)
+	}
+	if len(deliveries) != 0 {
+		t.Fatalf("deliveries %+v while router 1 was stuck", deliveries)
+	}
+	want := []sim.Loss{{MsgID: 1, Node: 1, Count: 2, Reason: sim.LossTimeout}}
+	if !reflect.DeepEqual(losses, want) || n.Run().Lost != 2 {
+		t.Fatalf("losses %+v (Run().Lost %d), want %+v", losses, n.Run().Lost, want)
+	}
+	n.Inject(sim.Message{ID: 2, Src: 0, Dsts: []mesh.NodeID{2}, Op: packet.OpSynthetic})
+	step(50)
+	if len(deliveries) != 1 || deliveries[0] != (sim.Delivery{MsgID: 2, Dst: 2}) || len(reserved) != 2 {
+		t.Fatalf("after the heal: deliveries %+v, reservations at %v; want msg 2 at node 2 through the released VC",
+			deliveries, reserved)
+	}
+	if n.Run().Lost != 2 || !n.Quiescent() {
+		t.Fatalf("after the heal: Run().Lost %d, quiescent %v", n.Run().Lost, n.Quiescent())
 	}
 }

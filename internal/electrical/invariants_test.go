@@ -46,3 +46,45 @@ func TestActiveRoutersTracksLoad(t *testing.T) {
 		t.Fatal("single message did not drain in 100 cycles")
 	}
 }
+
+// TestCheckInvariantsDetectsMaskDrift flips one bit of each router mask
+// in turn and asserts the audit notices every one. Router 3's packet to
+// node 9 sits in local VC 0 (bit 40) after one cycle, holding a VC on
+// node 2's East port (bit 10) toward the West.
+func TestCheckInvariantsDetectsMaskDrift(t *testing.T) {
+	n := New(DefaultConfig())
+	n.Inject(sim.Message{ID: 1, Src: 3, Dsts: []mesh.NodeID{9}, Op: packet.OpSynthetic})
+	n.Step(nil)
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatalf("after one cycle: %v", err)
+	}
+	src, down := &n.routers[3], &n.routers[2]
+	if src.held[mesh.West] != 1<<40 || !down.vcs[10].reserved {
+		t.Fatalf("unexpected start: held[West] %#x, node 2 VC 10 reserved %v", src.held[mesh.West], down.vcs[10].reserved)
+	}
+	for _, c := range []struct {
+		name string
+		mask *uint64
+		bit  uint
+	}{
+		{"occupied VC marked free", &src.free, 40},
+		{"reserved VC marked free", &down.free, 10},
+		{"free VC marked taken", &down.free, 11},
+		{"credit for an occupied VC", &src.credits, 40},
+		{"credit for a free VC", &down.credits, 11},
+		{"occupied bit cleared", &src.occupied, 40},
+		{"held replication dropped", &src.held[mesh.West], 40},
+		{"held replication also wanted", &src.want[mesh.West], 40},
+		{"replication the VC lacks", &src.want[mesh.North], 40},
+		{"want on an empty VC", &down.want[mesh.South], 0},
+	} {
+		*c.mask ^= 1 << c.bit
+		if err := n.CheckInvariants(); err == nil {
+			t.Errorf("%s: not detected", c.name)
+		}
+		*c.mask ^= 1 << c.bit
+	}
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatalf("after restoring every mask: %v", err)
+	}
+}

@@ -16,15 +16,21 @@ package electrical
 //     settled, extra idle cycles are unobservable. Inserting gaps between
 //     bursts must not change any packet's latency, the delivered count,
 //     or the traversal count.
+//   - Saturated slot faults: a port that has lost all its VCs takes no
+//     reservation, so losing more slots than it has changes nothing.
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"phastlane/internal/fault"
 	"phastlane/internal/mesh"
+	"phastlane/internal/obs"
 	"phastlane/internal/packet"
 	"phastlane/internal/sim"
 	"phastlane/internal/stats"
+	"phastlane/internal/traffic"
 )
 
 // blockEvent is one injection in block-local coordinates.
@@ -231,5 +237,60 @@ func TestMetamorphicIdleGaps(t *testing.T) {
 			t.Errorf("gap %d: delivered/traversals %d/%d, want %d/%d",
 				gap, run.Delivered, run.LinkTraversals, baseRun.Delivered, baseRun.LinkTraversals)
 		}
+	}
+}
+
+// TestMetamorphicSlotFaultSaturates runs the 8×8 default under uniform
+// traffic with router 27's West input port losing buffer slots over
+// [from, until): once exactly VCs slots, once 25 slots plus an
+// overlapping window of 7. fault.Injector.LostSlots sums overlapping
+// windows and Slots has no upper bound, so the second limit is far below
+// zero. Both runs must give the same sim.Result, neither may panic, and
+// the port must take no reservation while the fault is active. Outside
+// the window the port takes reservations, and inside it router 26 stalls
+// for credits toward it, so the check is not vacuous.
+func TestMetamorphicSlotFaultSaturates(t *testing.T) {
+	const node, port, from, until = 27, mesh.West, 300, 700
+	type portLog struct{ grantsOutside, grantsInside, stallsInside int }
+	run := func(faults ...fault.Fault) (sim.Result, portLog) {
+		cfg := DefaultConfig()
+		cfg.Faults = &fault.Plan{Faults: faults}
+		cfg.LossTimeout = 300
+		n := New(cfg)
+		var log portLog
+		n.SetTracer(func(e obs.Event) {
+			if next, ok := n.m.Neighbor(e.Node, e.Dir); !ok || next != node || e.Dir.Opposite() != port {
+				return
+			}
+			inside := e.Cycle >= from && e.Cycle < until
+			switch {
+			case e.Kind == obs.KindVCAlloc && inside:
+				log.grantsInside++
+			case e.Kind == obs.KindVCAlloc:
+				log.grantsOutside++
+			case e.Kind == obs.KindCreditStall && inside:
+				log.stallsInside++
+			}
+		})
+		res := sim.RunRate(n, sim.RateConfig{
+			Pattern: traffic.UniformRandom(64, 3),
+			Rate:    0.1,
+			Warmup:  200, Measure: 800, DrainLimit: 20000,
+			Seed: 5,
+		})
+		return res, log
+	}
+	slots := func(n int, lo, hi int64) fault.Fault {
+		return fault.Fault{Kind: fault.BufferSlots, Node: node, Dir: port, Slots: n, From: lo, Until: hi}
+	}
+	exact, exactLog := run(slots(DefaultConfig().VCs, from, until))
+	over, overLog := run(slots(25, from, until), slots(7, from+100, until-100))
+	for name, log := range map[string]portLog{"Slots = VCs": exactLog, "Slots = 25 + 7": overLog} {
+		if log.grantsInside != 0 || log.grantsOutside == 0 || log.stallsInside == 0 {
+			t.Errorf("%s: port log %+v; want no grants inside the window, some outside, and stalls inside", name, log)
+		}
+	}
+	if !reflect.DeepEqual(exact, over) {
+		t.Errorf("slot faults past the VC count changed the result:\nSlots = VCs:    %+v\nSlots = 25 + 7: %+v", exact, over)
 	}
 }

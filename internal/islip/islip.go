@@ -29,8 +29,8 @@ type Allocator struct {
 	grantPtr        []int // per output, next input to favour
 	acceptPtr       []int // per input, next output to favour
 	// scratch, reused across calls
-	accepted []int    // per input, matches this call
-	matchIn  []int    // per output, matched input or -1
+	accepted []int    // per input, matches this call; nil at quota 1
+	matchIn  []int    // per output, matched input; valid at matched bits
 	offers   []uint64 // per input, mask of outputs granting it this iteration
 }
 
@@ -44,76 +44,85 @@ func New(inputs, outputs, quota, iterations int) *Allocator {
 		panic(fmt.Sprintf("islip: invalid geometry in=%d out=%d quota=%d iter=%d",
 			inputs, outputs, quota, iterations))
 	}
-	return &Allocator{
+	a := &Allocator{
 		inputs: inputs, outputs: outputs,
 		quota: quota, iterations: iterations,
 		grantPtr:  make([]int, outputs),
 		acceptPtr: make([]int, inputs),
-		accepted:  make([]int, inputs),
 		matchIn:   make([]int, outputs),
 		offers:    make([]uint64, inputs),
 	}
+	if quota > 1 {
+		a.accepted = make([]int, inputs)
+	}
+	return a
 }
 
 // Match computes a matching for the current request pattern: req holds
 // one mask per output, and bit in of req[o] set means input in requests
-// output o. Bits at or above the input count must be clear. The result
-// maps each output to its matched input, or -1. No output is matched
-// twice; no input is matched more than its quota.
+// output o. Bits at or above the input count must be clear. matched has
+// bit o set for every matched output, and in[o] is its input; in is valid
+// only at matched's bits. No output is matched twice; no input is matched
+// more than its quota.
 //
-// The returned slice is the allocator's scratch buffer: it is valid until
-// the next Match call and must not be retained or mutated. Match performs
-// no allocation, which keeps the electrical router's steady-state cycle
-// loop allocation-free.
-func (a *Allocator) Match(req []uint64) []int {
-	for i := range a.accepted {
-		a.accepted[i] = 0
+// in is the allocator's scratch buffer: it is valid until the next Match
+// call and must not be retained or mutated. Match performs no allocation,
+// which keeps the electrical router's steady-state cycle loop
+// allocation-free.
+func (a *Allocator) Match(req []uint64) (matched uint64, in []int) {
+	clear(a.accepted)
+	var full, pending uint64 // inputs matched up to their quota; outputs still open
+	for o, r := range req[:a.outputs] {
+		if r != 0 {
+			pending |= 1 << o
+		}
 	}
-	for o := range a.matchIn {
-		a.matchIn[o] = -1
-	}
-	var full uint64 // inputs matched up to their quota
-	for iter := 0; iter < a.iterations; iter++ {
-		// Grant phase: each unmatched output picks the first
-		// requesting, non-saturated input at or after its pointer.
-		// Each output grants at most one input, so the per-input
-		// offers are disjoint and the accept phase below is
-		// order-independent across inputs.
+	for iter := 0; iter < a.iterations && pending != 0; iter++ {
+		// Grant phase: each open output picks the first requesting,
+		// non-saturated input at or after its pointer. Each output
+		// grants at most one input, so the per-input offers are
+		// disjoint and the accept phase below is order-independent
+		// across inputs.
 		var granted uint64
-		for o := 0; o < a.outputs; o++ {
-			want := req[o] &^ full
-			if want == 0 || a.matchIn[o] >= 0 {
-				continue
+		for p := pending; p != 0; p &= p - 1 {
+			o := bits.TrailingZeros64(p)
+			if want := req[o] &^ full; want != 0 {
+				in := firstFrom(want, a.grantPtr[o])
+				a.offers[in] |= 1 << o
+				granted |= 1 << in
 			}
-			in := firstFrom(want, a.grantPtr[o])
-			a.offers[in] |= 1 << o
-			granted |= 1 << in
 		}
-		if granted == 0 {
-			break
-		}
-		// Accept phase: each input takes the granting outputs
-		// nearest its pointer, up to its remaining quota.
+		// Accept phase: each input takes the granting outputs nearest
+		// its pointer, up to its remaining quota. A granted input is
+		// unsaturated, so at quota 1 it takes exactly one offer and
+		// needs no count beyond full.
 		for ; granted != 0; granted &= granted - 1 {
 			in := bits.TrailingZeros64(granted)
-			offers := a.offers[in]
+			offers, left := a.offers[in], 1
 			a.offers[in] = 0
-			for offers != 0 && a.accepted[in] < a.quota {
+			if a.accepted != nil {
+				left = a.quota - a.accepted[in]
+			}
+			for ; offers != 0 && left > 0; left-- {
 				o := firstFrom(offers, a.acceptPtr[in])
 				offers &^= 1 << o
+				matched |= 1 << o
+				pending &^= 1 << o
 				a.matchIn[o] = in
-				a.accepted[in]++
 				if iter == 0 {
 					a.grantPtr[o] = (in + 1) % a.inputs
 					a.acceptPtr[in] = (o + 1) % a.outputs
 				}
 			}
-			if a.accepted[in] == a.quota {
+			if left == 0 {
 				full |= 1 << in
+			}
+			if a.accepted != nil {
+				a.accepted[in] = a.quota - left
 			}
 		}
 	}
-	return a.matchIn
+	return matched, a.matchIn
 }
 
 // firstFrom returns the position of the first set bit of a non-zero mask

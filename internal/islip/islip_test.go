@@ -21,6 +21,20 @@ func wantFrom(m [][]bool) []uint64 {
 	return req
 }
 
+// match runs a.Match and rebuilds the per-output form the reference
+// allocator returns: each output's matched input, or -1.
+func match(a *Allocator, req []uint64) []int {
+	matched, in := a.Match(req)
+	got := make([]int, a.outputs)
+	for o := range got {
+		got[o] = -1
+		if matched>>o&1 == 1 {
+			got[o] = in[o]
+		}
+	}
+	return got
+}
+
 // allWant is the request masks of every input wanting every output.
 func allWant(inputs, outputs int) []uint64 {
 	req := make([]uint64, outputs)
@@ -38,7 +52,7 @@ func TestSingleRequest(t *testing.T) {
 		{false, false, false, false},
 		{false, false, false, false},
 	}
-	got := a.Match(wantFrom(m))
+	got := match(a, wantFrom(m))
 	if got[1] != 0 {
 		t.Fatalf("match = %v, want output 1 -> input 0", got)
 	}
@@ -53,7 +67,7 @@ func TestFullPermutationMatched(t *testing.T) {
 	// All inputs request all outputs: with enough iterations a maximal
 	// matching (here perfect) must be found.
 	a := New(4, 4, 1, 4)
-	got := a.Match(allWant(4, 4))
+	got := match(a, allWant(4, 4))
 	seen := map[int]bool{}
 	for o, in := range got {
 		if in < 0 {
@@ -73,7 +87,7 @@ func TestQuotaRespectedAndUsed(t *testing.T) {
 		{true, true, true, true},
 		{false, false, false, false},
 	}
-	got := a.Match(wantFrom(m))
+	got := match(a, wantFrom(m))
 	for o, in := range got {
 		if in != 0 {
 			t.Errorf("output %d -> %d, want 0", o, in)
@@ -81,7 +95,7 @@ func TestQuotaRespectedAndUsed(t *testing.T) {
 	}
 	// Quota 2 limits it.
 	a2 := New(2, 4, 2, 4)
-	got2 := a2.Match(wantFrom(m))
+	got2 := match(a2, wantFrom(m))
 	count := 0
 	for _, in := range got2 {
 		if in == 0 {
@@ -100,7 +114,7 @@ func TestRoundRobinFairness(t *testing.T) {
 	m := [][]bool{{true}, {true}}
 	wins := map[int]int{}
 	for i := 0; i < 100; i++ {
-		got := a.Match(wantFrom(m))
+		got := match(a, wantFrom(m))
 		wins[got[0]]++
 	}
 	if wins[0] != 50 || wins[1] != 50 {
@@ -115,10 +129,10 @@ func TestDesynchronisation(t *testing.T) {
 	a := New(4, 4, 1, 1)
 	all := allWant(4, 4)
 	for i := 0; i < 8; i++ {
-		a.Match(all) // warmup
+		match(a, all) // warmup
 	}
 	for i := 0; i < 20; i++ {
-		got := a.Match(all)
+		got := match(a, all)
 		for o, in := range got {
 			if in < 0 {
 				t.Fatalf("cycle %d: output %d unmatched after desync: %v", i, o, got)
@@ -140,7 +154,7 @@ func TestMatchingValidity(t *testing.T) {
 				m[i][j] = rng.Intn(3) == 0
 			}
 		}
-		got := a.Match(wantFrom(m))
+		got := match(a, wantFrom(m))
 		counts := map[int]int{}
 		for o, in := range got {
 			if in < 0 {
@@ -173,7 +187,7 @@ func TestMaximalWithIterations(t *testing.T) {
 				m[i][j] = rng.Intn(2) == 0
 			}
 		}
-		got := a.Match(wantFrom(m))
+		got := match(a, wantFrom(m))
 		matchedIn := map[int]bool{}
 		for _, in := range got {
 			if in >= 0 {
@@ -369,7 +383,7 @@ func TestMatchesReference(t *testing.T) {
 			want := func(in, out int) bool { return req[out]>>in&1 == 1 }
 			for trial := 0; trial < g.trials; trial++ {
 				randomRequests(rng, req, g.inputs)
-				got := a.Match(req)
+				got := match(a, req)
 				exp := ref.Match(want)
 				if !slices.Equal(got, exp) || !slices.Equal(a.grantPtr, ref.grantPtr) ||
 					!slices.Equal(a.acceptPtr, ref.acceptPtr) {
