@@ -59,6 +59,7 @@ func main() {
 	plots := flag.Bool("plots", false, "render ASCII degradation plots")
 	telemetryAddr := cliflags.TelemetryAddr(flag.CommandLine)
 	flag.Parse()
+	cliflags.Rates("faults", "rate", *rate)
 	if _, err := telemetry.Start(*telemetryAddr, nil); err != nil {
 		fail(err)
 	}

@@ -58,6 +58,7 @@ func main() {
 	minAttrib := flag.Float64("min-attrib", 0.95,
 		"with -why, fail unless every sampled packet's named stages explain at least this latency fraction")
 	flag.Parse()
+	cliflags.Rates("inspect", "rate", *rate)
 	why.Clamp()
 	if !why.Why {
 		flag.Visit(func(f *flag.Flag) {

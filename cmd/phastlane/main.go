@@ -54,6 +54,7 @@ func main() {
 	ccFlags := cliflags.RegisterCC(flag.CommandLine)
 	telFlags := telemetry.RegisterFlags(flag.CommandLine)
 	flag.Parse()
+	cliflags.Rates("phastlane", "rate", *rate)
 
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })

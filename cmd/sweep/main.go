@@ -69,6 +69,7 @@ func main() {
 			opts.Rates = append(opts.Rates, r)
 		}
 	}
+	cliflags.Rates("sweep", "rates", opts.Rates...)
 	start := time.Now()
 	results := figures.Fig9(opts)
 	if !*quiet {

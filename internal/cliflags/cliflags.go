@@ -1,8 +1,8 @@
 // Package cliflags consolidates the command-line blocks the cmds used
 // to copy-paste: the topology/geometry flags (-topo, -width, -height,
 // -arity) behind one fabric builder, the shared -seed flag, the plain
-// -telemetry-addr endpoint flag, the -faults argument parser, and the
-// uniform error exit. Single-run cmds still register the full
+// -telemetry-addr endpoint flag, the -faults argument parser, the
+// injection-rate check, and the uniform error exit. Single-run cmds still register the full
 // telemetry.CLI bundle (flight recorder, phase sampling) on top of
 // these; sweep-style cmds take just the endpoint address.
 package cliflags
@@ -110,6 +110,26 @@ func ParseFaultArg(arg string) (*fault.Plan, error) {
 		return fault.ParseJSON([]byte(text))
 	}
 	return fault.ParseSpec(strings.TrimSpace(text))
+}
+
+// Rates exits through Fail unless every one of rates, read from the flag
+// named flagName, is an injection rate: packets per node per cycle in
+// [0, 1]. Commands check -rate and -rates with it after flag.Parse, so a
+// bad value is an input error rather than traffic.NewInjector's panic.
+func Rates(cmd, flagName string, rates ...float64) {
+	if err := checkRates(flagName, rates); err != nil {
+		Fail(cmd, err)
+	}
+}
+
+// checkRates names the first of rates outside [0, 1]; NaN is outside.
+func checkRates(flagName string, rates []float64) error {
+	for _, r := range rates {
+		if !(r >= 0 && r <= 1) {
+			return fmt.Errorf("-%s %v is not an injection rate in [0, 1]", flagName, r)
+		}
+	}
+	return nil
 }
 
 // Fail prints "cmd: err" to stderr and exits 1 — the uniform cmd error

@@ -2,6 +2,10 @@ package cliflags
 
 import (
 	"flag"
+	"math"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 )
 
@@ -78,5 +82,33 @@ func TestParseFaultArgSpecAndJSON(t *testing.T) {
 	}
 	if _, err := ParseFaultArg("@/nonexistent/plan.json"); err == nil {
 		t.Fatal("missing @file accepted")
+	}
+}
+
+func TestRates(t *testing.T) {
+	if err := checkRates("rates", []float64{0, 0.002, 0.5, 1}); err != nil {
+		t.Fatalf("valid rates rejected: %v", err)
+	}
+	for _, bad := range []float64{math.NaN(), -0.1, 1.0001, 2, math.Inf(1)} {
+		err := checkRates("rate", []float64{0.1, bad})
+		if err == nil {
+			t.Errorf("rate %v accepted", bad)
+		} else if !strings.HasPrefix(err.Error(), "-rate ") {
+			t.Errorf("rate %v: error %q does not name the flag", bad, err)
+		}
+	}
+	// Rates itself exits through Fail: run it in a child process.
+	if os.Getenv("CLIFLAGS_RATES_CHILD") == "1" {
+		Rates("cmd", "rate", math.NaN())
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestRates$")
+	cmd.Env = append(os.Environ(), "CLIFLAGS_RATES_CHILD=1")
+	out, err := cmd.CombinedOutput()
+	if code := cmd.ProcessState.ExitCode(); err == nil || code != 1 {
+		t.Fatalf("Rates(NaN) exited %d (%v), want 1", code, err)
+	}
+	if want := "cmd: -rate NaN is not an injection rate in [0, 1]"; !strings.Contains(string(out), want) {
+		t.Fatalf("Rates(NaN) printed %q, want %q", out, want)
 	}
 }

@@ -198,6 +198,55 @@ func TestStraightBeatsTurn(t *testing.T) {
 	}
 }
 
+// contentionWinner injects one packet to node 17 from each of srcs in
+// cycle c of a fresh network and returns the source of the one delivered
+// in that cycle: the packet that won link (9, N). From 1 the packet runs
+// straight through router 9 entering on S; from 8 it enters on W and turns
+// left, from 10 on E and turns right. The losers are buffered at 9 and
+// must still be delivered.
+func contentionWinner(t *testing.T, rrTurns bool, c int, srcs ...mesh.NodeID) mesh.NodeID {
+	t.Helper()
+	n := mustNew(t, func(cfg *Config) { cfg.RoundRobinTurns = rrTurns })
+	for i := 0; i < c; i++ {
+		n.Step(nil)
+	}
+	for _, src := range srcs {
+		n.Inject(sim.Message{ID: uint64(src), Src: src, Dsts: []mesh.NodeID{17}, Op: packet.OpSynthetic})
+	}
+	first := n.Step(nil)
+	if len(first) != 1 {
+		t.Fatalf("rrTurns %v, cycle %d: deliveries %v, want exactly one", rrTurns, c, first)
+	}
+	if rest := stepUntilQuiescent(t, n, 100); len(rest) != len(srcs)-1 {
+		t.Fatalf("rrTurns %v, cycle %d: %d losers delivered, want %d", rrTurns, c, len(rest), len(srcs)-1)
+	}
+	return mesh.NodeID(first[0].MsgID)
+}
+
+// TestTurnPortOrder pins the fixed priority among turns: two turning
+// packets request link (9, N) in the same walk step, and the one entering
+// on E beats the one entering on W, though W's source launches first; a
+// straight packet entering on S beats both.
+func TestTurnPortOrder(t *testing.T) {
+	if got := contentionWinner(t, false, 0, 8, 10); got != 10 {
+		t.Errorf("turns from W (8) and E (10): winner %d, want 10", got)
+	}
+	if got := contentionWinner(t, false, 0, 1, 8, 10); got != 1 {
+		t.Errorf("straight from S (1) against two turns: winner %d, want 1", got)
+	}
+}
+
+// TestRoundRobinTurnsRotatesPortOrder pins the footnote-3 alternative:
+// straight-through has no precedence, and the favoured input port rotates
+// with the cycle, so the packets entering on E, W and S win in turn.
+func TestRoundRobinTurnsRotatesPortOrder(t *testing.T) {
+	for c, want := range []mesh.NodeID{10, 8, 1, 10} {
+		if got := contentionWinner(t, true, c, 1, 8, 10); got != want {
+			t.Errorf("injected in cycle %d: winner %d, want %d", c, got, want)
+		}
+	}
+}
+
 func TestBufferFullDropsAndRetransmits(t *testing.T) {
 	// BufferEntries=1. Flood link (1, E): node 1's NIC launches claim
 	// it every cycle, so node 0's packets arriving at router 1 are

@@ -49,8 +49,7 @@ func refBuildSweepFrom(n *Network, src mesh.NodeID, remaining []mesh.NodeID, max
 	if truncated {
 		last := len(dirs) - 1
 		g := packet.GroupForStep(dirs[last], contDir, false)
-		g.Local, g.Multicast = true, ctl.Group(last).Multicast
-		ctl.SetGroup(last, g)
+		ctl.SetGroup(last, g|packet.Local|ctl.Group(last)&packet.Multicast)
 	}
 	ctl.MarkInterims(maxHops)
 	return ctl, dirs[0], route

@@ -27,6 +27,7 @@ type flight struct {
 	control packet.Control
 	hops    int
 	next    mesh.Dir // requested outgoing direction after arrival
+	key     uint8    // contention priority of the request for next
 }
 
 // walk advances all launched flights through the mesh in lockstep hop
@@ -36,6 +37,14 @@ type flight struct {
 // to buf; the wavefront and contender lists live in network scratch
 // (walkActive, walkCont) so the loop does not allocate.
 func (n *Network) walk(flights []*flight, buf []sim.Delivery) []sim.Delivery {
+	// With RoundRobinTurns the straight-over-turn rule is dropped and
+	// the favoured input port rotates each cycle (the paper's
+	// footnote-3 alternative).
+	rrTurns := n.cfg.RoundRobinTurns
+	rotate := 0
+	if rrTurns {
+		rotate = int(n.cycle) % mesh.NumLinkDirs
+	}
 	active := append(n.walkActive[:0], flights...)
 	contenders := n.walkCont
 	for len(active) > 0 {
@@ -49,7 +58,7 @@ func (n *Network) walk(flights []*flight, buf []sim.Delivery) []sim.Delivery {
 			f.hops++
 			n.run.LinkTraversals++
 			g := f.control.Shift()
-			if g.Zero() {
+			if g == 0 {
 				panic(fmt.Sprintf("core: flight of msg %d ran out of control groups at %d", f.p.msgID, f.at))
 			}
 			if n.faults != nil {
@@ -75,7 +84,7 @@ func (n *Network) walk(flights []*flight, buf []sim.Delivery) []sim.Delivery {
 			// continues; this happens at the input port, before
 			// any output contention, so it survives subsequent
 			// blocking or dropping.
-			if g.Multicast && len(f.p.remaining) > 0 && f.p.remaining[0] == f.at {
+			if g&packet.Multicast != 0 && len(f.p.remaining) > 0 && f.p.remaining[0] == f.at {
 				f.p.remaining = f.p.remaining[1:]
 				f.p.routed = false
 				buf = append(buf, sim.Delivery{MsgID: f.p.msgID, Dst: f.at})
@@ -83,7 +92,7 @@ func (n *Network) walk(flights []*flight, buf []sim.Delivery) []sim.Delivery {
 				n.emit(EventTap, f.p.msgID, f.at, mesh.Local)
 			}
 			switch {
-			case g.Local && !g.Transit():
+			case g&packet.Local != 0 && !g.Transit():
 				// Final stop: eject to the local node.
 				if !f.p.multicast {
 					buf = append(buf, sim.Delivery{MsgID: f.p.msgID, Dst: f.at})
@@ -91,7 +100,7 @@ func (n *Network) walk(flights []*flight, buf []sim.Delivery) []sim.Delivery {
 				}
 				n.emit(EventEject, f.p.msgID, f.at, mesh.Local)
 				n.finish(f)
-			case g.Local:
+			case g&packet.Local != 0:
 				// Interim node: receive, buffer, relaunch later
 				// toward the group's direction bits.
 				n.receiveOrDrop(f, packet.DirAfterTurn(f.travel, g))
@@ -103,26 +112,15 @@ func (n *Network) walk(flights []*flight, buf []sim.Delivery) []sim.Delivery {
 				contenders = append(contenders, f)
 			}
 		}
-		// Resolve output-link contention in fixed priority order:
-		// straight-through first, then lower input-port index. A
-		// link claimed in an earlier step (or by a launch) blocks
-		// all later requests outright. With RoundRobinTurns the
-		// straight-over-turn rule is dropped and the favoured input
-		// port rotates each cycle (the paper's footnote-3
-		// alternative). The stable insertion sort reproduces
-		// sort.SliceStable's ordering without its allocations.
-		rotate := 0
-		if n.cfg.RoundRobinTurns {
-			rotate = int(n.cycle) % mesh.NumLinkDirs
-		}
-		rrTurns := n.cfg.RoundRobinTurns
-		for i := 1; i < len(contenders); i++ {
-			for j := i; j > 0 && contenderLess(contenders[j], contenders[j-1], rrTurns, rotate); j-- {
-				contenders[j], contenders[j-1] = contenders[j-1], contenders[j]
-			}
-		}
-		active = active[:0]
-		for _, f := range contenders {
+		// Resolve output-link contention in priority order; a link
+		// claimed in an earlier step (or by a launch) blocks all
+		// later requests outright. The wavefront has been read, so
+		// the ordered contenders go into it, and the survivors are
+		// compacted in place as the next wavefront.
+		active = active[:len(contenders)]
+		contentionOrder(active, contenders, rrTurns, rotate)
+		live := active[:0]
+		for _, f := range active {
 			if n.claimed(f.at, f.next) ||
 				(n.faults != nil && n.faults.LinkDown(n.cycle, f.at, f.next)) {
 				n.receiveOrDrop(f, f.next)
@@ -131,26 +129,43 @@ func (n *Network) walk(flights []*flight, buf []sim.Delivery) []sim.Delivery {
 			n.claim(f.at, f.next)
 			n.emit(EventPass, f.p.msgID, f.at, f.next)
 			f.travel = f.next
-			active = append(active, f)
+			live = append(live, f)
 		}
+		active = live
 	}
 	n.walkActive, n.walkCont = active, contenders
 	return buf
 }
 
-// contenderLess is the output-link priority order: straight-through beats
-// turns (unless RoundRobinTurns), then input-port order, rotated when the
-// round-robin alternative is on.
-func contenderLess(a, b *flight, rrTurns bool, rotate int) bool {
-	if !rrTurns {
-		sa, sb := a.next == a.travel, b.next == b.travel
-		if sa != sb {
-			return sa
+// numKeys counts the contention priority keys: the four input ports,
+// twice when turns yield to straight-through traffic.
+const numKeys = 2 * mesh.NumLinkDirs
+
+// contentionOrder writes the contenders src into dst, which has src's
+// length and does not overlap it, in the order they claim output links:
+// ascending priority key, ties in src order. A flight's key is its input
+// port in N, E, S, W order, rotated when RoundRobinTurns is on, plus
+// NumLinkDirs when it turns and turns yield to straight-through traffic
+// (RoundRobinTurns off). It is a stable counting sort: one pass counts the
+// keys, their prefix sums place each key's run, and a second pass scatters.
+func contentionOrder(dst, src []*flight, rrTurns bool, rotate int) {
+	var at [numKeys]int
+	for _, f := range src {
+		k := (int(f.travel.Opposite()) + rotate) % mesh.NumLinkDirs
+		if !rrTurns && f.next != f.travel {
+			k += mesh.NumLinkDirs
 		}
+		f.key = uint8(k)
+		at[k]++
 	}
-	pa := (int(a.travel.Opposite()) + rotate) % mesh.NumLinkDirs
-	pb := (int(b.travel.Opposite()) + rotate) % mesh.NumLinkDirs
-	return pa < pb
+	sum := 0
+	for k, c := range at {
+		at[k], sum = sum, sum+c
+	}
+	for _, f := range src {
+		dst[at[f.key]] = f
+		at[f.key]++
+	}
 }
 
 // finish marks a flight's transmission delivered and retires the parcel;

@@ -25,7 +25,7 @@ func walkControl(t *testing.T, m *mesh.Mesh, src mesh.NodeID, c Control, launch 
 		if g.Zero() {
 			t.Fatalf("control ran out of groups at %d", at)
 		}
-		if g.Local {
+		if g&Local != 0 {
 			// Final stop or interim/truncation stop: the walk ends
 			// here (an interim would buffer and relaunch).
 			return at
@@ -84,7 +84,7 @@ func TestControlFromDirsTruncates(t *testing.T) {
 		t.Fatalf("Used %d, want %d", ctl.Used(), MaxGroups)
 	}
 	last := ctl.Group(MaxGroups - 1)
-	if !last.Local || !last.Transit() {
+	if last&Local == 0 || !last.Transit() {
 		t.Fatalf("truncation group %+v is not an interim stop", last)
 	}
 	if end := walkControl(t, m, 0, ctl, launch); end != mesh.NodeID(4*16+10) {

@@ -77,47 +77,43 @@ func (o Op) String() string {
 	}
 }
 
-// Group is one 5-bit router-control group. Exactly one of Straight, Left,
-// Right may be set for a transit group; Local marks ejection (interim or
-// final); Multicast marks the tap-and-continue broadcast mode.
-type Group struct {
-	Straight  bool
-	Left      bool
-	Right     bool
-	Local     bool
-	Multicast bool
-}
+// Group is one 5-bit router-control group in its wire form: bit 0 is
+// Straight ... bit 4 Multicast, the λ1-λ5 assignment on the C0 waveguide.
+// At most one of Straight, Left, Right is set; Local marks ejection
+// (interim or final); Multicast marks the tap-and-continue broadcast mode.
+type Group uint8
+
+// The bits of a group, in wire order.
+const (
+	Straight Group = 1 << iota
+	Left
+	Right
+	Local
+	Multicast
+)
+
+// dirBits are the direction bits: at most one is set.
+const dirBits = Straight | Left | Right
 
 // Zero reports whether no bit is set (an unused trailing group).
-func (g Group) Zero() bool {
-	return !g.Straight && !g.Left && !g.Right && !g.Local && !g.Multicast
-}
+func (g Group) Zero() bool { return g == 0 }
 
 // Transit reports whether the group routes the packet onward through the
-// router (exactly one direction bit set).
-func (g Group) Transit() bool { return g.Straight || g.Left || g.Right }
+// router (a direction bit set).
+func (g Group) Transit() bool { return g&dirBits != 0 }
 
 // Valid reports whether the group is internally consistent: at most one
 // direction bit set. Local may coexist with a direction bit: that marks an
 // interim node, which receives the packet and later relaunches it in the
 // encoded direction (paper Section 2.1.3).
 func (g Group) Valid() bool {
-	dirs := 0
-	if g.Straight {
-		dirs++
-	}
-	if g.Left {
-		dirs++
-	}
-	if g.Right {
-		dirs++
-	}
-	return dirs <= 1
+	d := g & dirBits
+	return d&(d-1) == 0
 }
 
 // Interim reports whether the group marks an interim stop: the packet is
 // received here and relaunched later toward the direction bits.
-func (g Group) Interim() bool { return g.Local && g.Transit() }
+func (g Group) Interim() bool { return g&Local != 0 && g.Transit() }
 
 // Turn converts the group to a mesh.Turn. Direction bits take precedence so
 // that interim groups (Local + direction) report the relaunch turn; a pure
@@ -125,84 +121,39 @@ func (g Group) Interim() bool { return g.Local && g.Transit() }
 // at construction time.
 func (g Group) Turn() mesh.Turn {
 	switch {
-	case g.Straight:
+	case g&Straight != 0:
 		return mesh.Straight
-	case g.Left:
+	case g&Left != 0:
 		return mesh.LeftTurn
-	case g.Right:
+	case g&Right != 0:
 		return mesh.RightTurn
-	case g.Local:
+	case g&Local != 0:
 		return mesh.Eject
 	default:
 		panic("packet: Turn on empty control group")
 	}
 }
 
+// groupNames names the bits of a group, in wire order.
+var groupNames = [...]string{"S", "L", "R", "Loc", "M"}
+
 // String renders the set bits, e.g. "S", "L+M", "Loc".
 func (g Group) String() string {
-	var parts []string
-	if g.Straight {
-		parts = append(parts, "S")
+	var b strings.Builder
+	for i, name := range groupNames {
+		if g&(1<<i) == 0 {
+			continue
+		}
+		if b.Len() > 0 {
+			b.WriteByte('+')
+		}
+		b.WriteString(name)
 	}
-	if g.Left {
-		parts = append(parts, "L")
-	}
-	if g.Right {
-		parts = append(parts, "R")
-	}
-	if g.Local {
-		parts = append(parts, "Loc")
-	}
-	if g.Multicast {
-		parts = append(parts, "M")
-	}
-	if len(parts) == 0 {
+	if b.Len() == 0 {
 		return "-"
 	}
-	return strings.Join(parts, "+")
+	return b.String()
 }
-
-// Pack encodes the group into its 5-bit wire form (bit 0 = Straight ...
-// bit 4 = Multicast), mirroring the λ1-λ5 assignment on the C0 waveguide.
-func (g Group) Pack() uint8 {
-	var b uint8
-	if g.Straight {
-		b |= bitStraight
-	}
-	if g.Left {
-		b |= bitLeft
-	}
-	if g.Right {
-		b |= bitRight
-	}
-	if g.Local {
-		b |= bitLocal
-	}
-	if g.Multicast {
-		b |= bitMulticast
-	}
-	return b
-}
-
-// UnpackGroup decodes a 5-bit wire form produced by Pack.
-func UnpackGroup(b uint8) Group {
-	return Group{
-		Straight:  b&bitStraight != 0,
-		Left:      b&bitLeft != 0,
-		Right:     b&bitRight != 0,
-		Local:     b&bitLocal != 0,
-		Multicast: b&bitMulticast != 0,
-	}
-}
-
-// The bits of a packed group, in Pack order.
-const (
-	bitStraight = 1 << iota
-	bitLeft
-	bitRight
-	bitLocal
-	bitMulticast
-)
 
 const (
 	// groupsPerWord is the number of groups one control waveguide carries.
@@ -216,23 +167,23 @@ const (
 
 // Control is the full predecoded route, packed as the two control
 // waveguides carry it: C0 holds Groups 1-7 and C1 Groups 8-14, five bits a
-// group in Pack order, lowest group in the low bits. Group 1, the one the
+// group in wire order, lowest group in the low bits. Group 1, the one the
 // next router consumes, is Group(0). The number of meaningful groups, Used,
 // is the position of the last non-empty one.
 type Control struct {
 	C0, C1 uint64
 }
 
-// Group returns group i (0-based), decoded.
+// Group returns group i (0-based).
 func (c *Control) Group(i int) Group {
 	w, shift := c.word(i)
-	return UnpackGroup(uint8(*w >> shift & groupMask))
+	return Group(*w >> shift & groupMask)
 }
 
 // SetGroup replaces group i (0-based) with g.
 func (c *Control) SetGroup(i int, g Group) {
 	w, shift := c.word(i)
-	*w = *w&^(groupMask<<shift) | uint64(g.Pack())<<shift
+	*w = *w&^(groupMask<<shift) | uint64(g&groupMask)<<shift
 }
 
 // word returns the control word holding group i and the group's offset in it.
@@ -246,10 +197,10 @@ func (c *Control) word(i int) (*uint64, uint) {
 	panic(fmt.Sprintf("packet: control group %d out of range", i))
 }
 
-// toggle flips the bits of packed group g in every group of [lo, hi).
-func (c *Control) toggle(lo, hi int, g uint64) {
-	c.C0 ^= g * (onesBelow(hi) &^ onesBelow(lo))
-	c.C1 ^= g * (onesBelow(hi-groupsPerWord) &^ onesBelow(lo-groupsPerWord))
+// toggle flips the bits of g in every group of [lo, hi).
+func (c *Control) toggle(lo, hi int, g Group) {
+	c.C0 ^= uint64(g) * (onesBelow(hi) &^ onesBelow(lo))
+	c.C1 ^= uint64(g) * (onesBelow(hi-groupsPerWord) &^ onesBelow(lo-groupsPerWord))
 }
 
 // onesBelow returns the lowest bit of each of a word's first k groups, k
@@ -268,7 +219,7 @@ func (c *Control) Used() int {
 }
 
 // Head returns the group the next router consumes.
-func (c *Control) Head() Group { return UnpackGroup(uint8(c.C0 & groupMask)) }
+func (c *Control) Head() Group { return Group(c.C0 & groupMask) }
 
 // Shift consumes Group 1 and moves every later group up one position,
 // modelling the C1->C0 physical shift plus the frequency translation of
@@ -298,7 +249,7 @@ func (c *Control) Validate() error {
 			return fmt.Errorf("packet: group %d empty but within used range %d", i+1, used)
 		}
 	}
-	if used > 0 && !c.Group(used-1).Local {
+	if used > 0 && c.Group(used-1)&Local == 0 {
 		return fmt.Errorf("packet: final group %s does not eject", c.Group(used-1))
 	}
 	return nil
@@ -360,22 +311,22 @@ func DirAfterTurn(travel mesh.Dir, g Group) mesh.Dir { return travel.Turned(g.Tu
 // out (or eject when out == mesh.Local). multicast marks tap-and-continue.
 // A route never doubles back, so out == travel.Opposite() panics.
 func GroupForStep(travel, out mesh.Dir, multicast bool) Group {
-	g := Group{Multicast: multicast}
+	var g Group
+	if multicast {
+		g = Multicast
+	}
 	if out == mesh.Local {
-		g.Local = true
-		return g
+		return g | Local
 	}
 	switch mesh.TurnFor(travel, out) {
 	case mesh.Straight:
-		g.Straight = true
+		return g | Straight
 	case mesh.LeftTurn:
-		g.Left = true
+		return g | Left
 	case mesh.RightTurn:
-		g.Right = true
-	default:
-		panic(fmt.Sprintf("packet: cannot encode %s->%s in one group", travel, out))
+		return g | Right
 	}
-	return g
+	panic(fmt.Sprintf("packet: cannot encode %s->%s in one group", travel, out))
 }
 
 // EncodeRoute predecodes a route of a links travelling first, then b links
@@ -405,16 +356,16 @@ func EncodeRoute(first mesh.Dir, a int, second mesh.Dir, b int, tapFrom int) (Co
 	}
 	used := min(n, MaxGroups)
 	var c Control
-	c.toggle(0, used, bitStraight)
-	c.toggle(tapFrom, used, bitMulticast)
+	c.toggle(0, used, Straight)
+	c.toggle(tapFrom, used, Multicast)
 	if b > 0 && a <= used {
-		c.toggle(a-1, a, bitStraight^uint64(GroupForStep(first, second, false).Pack()))
+		c.toggle(a-1, a, Straight^GroupForStep(first, second, false))
 	}
 	// The last group ejects instead of going straight on; a truncation
 	// interim ejects and keeps the direction the journey continues in.
-	last := uint64(bitLocal)
+	last := Local
 	if n <= MaxGroups {
-		last |= bitStraight
+		last |= Straight
 	}
 	c.toggle(used-1, used, last)
 	return c, first
@@ -465,9 +416,7 @@ func ControlFromDirs(dirs []mesh.Dir) (Control, mesh.Dir) {
 		c.SetGroup(i-1, GroupForStep(dirs[i-1], out, false))
 	}
 	if truncated {
-		g := GroupForStep(dirs[n-1], dirs[n], false)
-		g.Local = true
-		c.SetGroup(n-1, g)
+		c.SetGroup(n-1, Local|GroupForStep(dirs[n-1], dirs[n], false))
 	}
 	return c, dirs[0]
 }
@@ -485,7 +434,7 @@ func (c *Control) MarkInterims(maxHops int) {
 	}
 	for i, last := maxHops-1, c.Used()-1; i < last; i += maxHops {
 		w, shift := c.word(i)
-		*w |= bitLocal << shift
+		*w |= uint64(Local) << shift
 	}
 }
 
@@ -494,10 +443,10 @@ func (c *Control) MarkInterims(maxHops int) {
 // before the packet is next received), or Used when no Local bit remains
 // (malformed; Validate rejects such controls).
 func (c *Control) NextStop() int {
-	if l := c.C0 & (bitLocal * wordOnes); l != 0 {
+	if l := c.C0 & (uint64(Local) * wordOnes); l != 0 {
 		return bits.TrailingZeros64(l)/GroupBits + 1
 	}
-	if l := c.C1 & (bitLocal * wordOnes); l != 0 {
+	if l := c.C1 & (uint64(Local) * wordOnes); l != 0 {
 		return groupsPerWord + bits.TrailingZeros64(l)/GroupBits + 1
 	}
 	return c.Used()
@@ -508,8 +457,8 @@ func (c *Control) NextStop() int {
 // segment passes through before its stop, for transmit-energy accounting.
 func (c *Control) Segment() (links, taps int) {
 	links = c.NextStop()
-	taps = bits.OnesCount64(c.C0&(bitMulticast*onesBelow(links-1))) +
-		bits.OnesCount64(c.C1&(bitMulticast*onesBelow(links-1-groupsPerWord)))
+	taps = bits.OnesCount64(c.C0&(uint64(Multicast)*onesBelow(links-1))) +
+		bits.OnesCount64(c.C1&(uint64(Multicast)*onesBelow(links-1-groupsPerWord)))
 	return links, taps
 }
 

@@ -9,10 +9,12 @@ import (
 	"phastlane/internal/mesh"
 )
 
+// TestGroupPackRoundTrip checks that a group's wire byte and the decoded
+// reference hold the same five bits: each converts to the other unchanged.
 func TestGroupPackRoundTrip(t *testing.T) {
 	f := func(raw uint8) bool {
-		g := UnpackGroup(raw & 0x1f)
-		return g.Pack() == raw&0x1f
+		g := Group(raw & 0x1f)
+		return refUnpack(uint8(g)).pack() == uint8(g) && Group(refUnpack(raw).pack()) == g
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -24,13 +26,13 @@ func TestGroupValid(t *testing.T) {
 		g    Group
 		want bool
 	}{
-		{Group{Straight: true}, true},
-		{Group{Left: true}, true},
-		{Group{Local: true}, true},
-		{Group{Local: true, Straight: true}, true}, // interim
-		{Group{Straight: true, Left: true}, false},
-		{Group{Left: true, Right: true}, false},
-		{Group{}, true},
+		{Straight, true},
+		{Left, true},
+		{Local, true},
+		{Local | Straight, true}, // interim
+		{Straight | Left, false},
+		{Left | Right, false},
+		{Group(0), true},
 	}
 	for _, tc := range cases {
 		if got := tc.g.Valid(); got != tc.want {
@@ -40,23 +42,23 @@ func TestGroupValid(t *testing.T) {
 }
 
 func TestGroupInterim(t *testing.T) {
-	if !(Group{Local: true, Straight: true}).Interim() {
+	if !(Local | Straight).Interim() {
 		t.Error("Local+Straight should be interim")
 	}
-	if (Group{Local: true}).Interim() {
+	if Local.Interim() {
 		t.Error("Local alone is a final stop, not interim")
 	}
 }
 
 func TestControlShift(t *testing.T) {
 	var c Control
-	c.SetGroup(0, Group{Straight: true})
-	c.SetGroup(1, Group{Right: true})
-	c.SetGroup(2, Group{Local: true})
-	if got := c.Shift(); !got.Straight {
+	c.SetGroup(0, Straight)
+	c.SetGroup(1, Right)
+	c.SetGroup(2, Local)
+	if got := c.Shift(); got&Straight == 0 {
 		t.Fatalf("first shift = %s", got)
 	}
-	if got := c.Head(); !got.Right {
+	if got := c.Head(); got&Right == 0 {
 		t.Fatalf("head after shift = %s", got)
 	}
 	if c.Used() != 2 {
@@ -84,10 +86,10 @@ func TestBuildControlStraightLine(t *testing.T) {
 	if c.Used() != 3 {
 		t.Fatalf("used = %d, want 3", c.Used())
 	}
-	if !c.Group(0).Straight || !c.Group(1).Straight {
+	if c.Group(0)&Straight == 0 || c.Group(1)&Straight == 0 {
 		t.Errorf("transit groups not straight: %s", c.String())
 	}
-	if !c.Group(2).Local || c.Group(2).Transit() {
+	if c.Group(2)&Local == 0 || c.Group(2).Transit() {
 		t.Errorf("final group should be pure Local: %s", c.String())
 	}
 	if err := c.Validate(); err != nil {
@@ -105,12 +107,7 @@ func TestBuildControlWithTurn(t *testing.T) {
 	}
 	// Groups: router(1,0): straight E; router(2,0): turn to N = left;
 	// router(2,1): straight N; router(2,2): local.
-	want := []Group{
-		{Straight: true},
-		{Left: true},
-		{Straight: true},
-		{Local: true},
-	}
+	want := []Group{Straight, Left, Straight, Local}
 	if c.Used() != len(want) {
 		t.Fatalf("used = %d, want %d (%s)", c.Used(), len(want), c.String())
 	}
@@ -156,7 +153,7 @@ func TestControlWalkReachesDestination(t *testing.T) {
 			if g.Zero() {
 				return false
 			}
-			if g.Local {
+			if g&Local != 0 {
 				return cur == dst && hops == m.HopDistance(src, dst) && c.Used() == 0
 			}
 			travel = DirAfterTurn(travel, g)
@@ -180,8 +177,8 @@ func TestMarkInterims(t *testing.T) {
 	c.MarkInterims(4)
 	for i := 0; i < c.Used(); i++ {
 		wantLocal := i == 3 || i == 7 || i == 11 || i == c.Used()-1
-		if c.Group(i).Local != wantLocal {
-			t.Errorf("group %d Local = %v, want %v", i, c.Group(i).Local, wantLocal)
+		if got := c.Group(i)&Local != 0; got != wantLocal {
+			t.Errorf("group %d Local = %v, want %v", i, got, wantLocal)
 		}
 		if wantLocal && i != c.Used()-1 && !c.Group(i).Interim() {
 			t.Errorf("group %d should be interim (keep direction)", i)
@@ -212,22 +209,22 @@ func TestNextStopNoInterim(t *testing.T) {
 
 func TestValidateRejectsMalformed(t *testing.T) {
 	var c Control
-	c.SetGroup(0, Group{Straight: true})
+	c.SetGroup(0, Straight)
 	if err := c.Validate(); err == nil {
 		t.Error("control not ending in Local should fail validation")
 	}
-	c.SetGroup(0, Group{Local: true})
-	c.SetGroup(5, Group{Straight: true}) // past the eject: groups 2-5 empty
+	c.SetGroup(0, Local)
+	c.SetGroup(5, Straight) // past the eject: groups 2-5 empty
 	if err := c.Validate(); err == nil {
 		t.Error("set group beyond the final eject should fail validation")
 	}
-	c.SetGroup(5, Group{})
-	c.SetGroup(0, Group{Straight: true, Right: true, Local: true})
+	c.SetGroup(5, Group(0))
+	c.SetGroup(0, Straight|Right|Local)
 	if err := c.Validate(); err == nil {
 		t.Error("two direction bits should fail validation")
 	}
 	// Each word carries seven groups; a bit above them is not on the wire.
-	for _, bad := range []Control{{C0: bitLocal | 1<<wordBits}, {C0: bitLocal, C1: 1 << 63}} {
+	for _, bad := range []Control{{C0: uint64(Local) | 1<<wordBits}, {C0: uint64(Local), C1: 1 << 63}} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("control %#x/%#x with bits above group 7 should fail validation", bad.C0, bad.C1)
 		}
@@ -260,12 +257,12 @@ func TestDirAfterTurn(t *testing.T) {
 		g      Group
 		want   mesh.Dir
 	}{
-		{mesh.North, Group{Straight: true}, mesh.North},
-		{mesh.North, Group{Left: true}, mesh.West},
-		{mesh.North, Group{Right: true}, mesh.East},
-		{mesh.South, Group{Left: true}, mesh.East},
-		{mesh.West, Group{Right: true}, mesh.North},
-		{mesh.East, Group{Local: true}, mesh.Local},
+		{mesh.North, Straight, mesh.North},
+		{mesh.North, Left, mesh.West},
+		{mesh.North, Right, mesh.East},
+		{mesh.South, Left, mesh.East},
+		{mesh.West, Right, mesh.North},
+		{mesh.East, Local, mesh.Local},
 	}
 	for _, tc := range cases {
 		if got := DirAfterTurn(tc.travel, tc.g); got != tc.want {
@@ -335,10 +332,10 @@ func TestBroadcastWalk(t *testing.T) {
 			var tapped []mesh.NodeID
 			for {
 				g := c.Shift()
-				if g.Multicast {
+				if g&Multicast != 0 {
 					tapped = append(tapped, cur)
 				}
-				if g.Local && !g.Transit() {
+				if g&Local != 0 && !g.Transit() {
 					break
 				}
 				travel = DirAfterTurn(travel, g)

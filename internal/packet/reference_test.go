@@ -1,18 +1,212 @@
 package packet
 
-// The group-by-group encoders that EncodeRoute replaced, kept as
-// references: refControl is the unpacked format (fourteen decoded groups
-// and an explicit count), and refBuildControl and refBuildBroadcast build
-// it one router at a time. The tests below compare the packed encoders
-// against them on every route of a set of meshes.
+// The formats and encoders the packed ones replaced, kept as references:
+// refGroup is the decoded group (one bool a bit) with its methods;
+// refControl is the unpacked control (fourteen groups and an explicit
+// count), and refBuildControl and refBuildBroadcast build it one router at
+// a time. The tests below compare Group against refGroup on every byte
+// value, and the packed encoders against the references on every route of
+// a set of meshes.
 
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"phastlane/internal/mesh"
 )
+
+// refGroup is the decoded group: bit 0 of the wire byte is Straight ...
+// bit 4 Multicast.
+type refGroup struct {
+	Straight  bool
+	Left      bool
+	Right     bool
+	Local     bool
+	Multicast bool
+}
+
+// refUnpack decodes the low five bits of a wire byte.
+func refUnpack(b uint8) refGroup {
+	return refGroup{
+		Straight:  b&1 != 0,
+		Left:      b&2 != 0,
+		Right:     b&4 != 0,
+		Local:     b&8 != 0,
+		Multicast: b&16 != 0,
+	}
+}
+
+// pack encodes the group into its wire byte.
+func (g refGroup) pack() uint8 {
+	var b uint8
+	for i, set := range []bool{g.Straight, g.Left, g.Right, g.Local, g.Multicast} {
+		if set {
+			b |= 1 << i
+		}
+	}
+	return b
+}
+
+func (g refGroup) Zero() bool {
+	return !g.Straight && !g.Left && !g.Right && !g.Local && !g.Multicast
+}
+
+func (g refGroup) Transit() bool { return g.Straight || g.Left || g.Right }
+
+func (g refGroup) Valid() bool {
+	dirs := 0
+	if g.Straight {
+		dirs++
+	}
+	if g.Left {
+		dirs++
+	}
+	if g.Right {
+		dirs++
+	}
+	return dirs <= 1
+}
+
+func (g refGroup) Interim() bool { return g.Local && g.Transit() }
+
+func (g refGroup) Turn() mesh.Turn {
+	switch {
+	case g.Straight:
+		return mesh.Straight
+	case g.Left:
+		return mesh.LeftTurn
+	case g.Right:
+		return mesh.RightTurn
+	case g.Local:
+		return mesh.Eject
+	default:
+		panic("reference Turn on empty control group")
+	}
+}
+
+func (g refGroup) String() string {
+	var parts []string
+	if g.Straight {
+		parts = append(parts, "S")
+	}
+	if g.Left {
+		parts = append(parts, "L")
+	}
+	if g.Right {
+		parts = append(parts, "R")
+	}
+	if g.Local {
+		parts = append(parts, "Loc")
+	}
+	if g.Multicast {
+		parts = append(parts, "M")
+	}
+	if len(parts) == 0 {
+		return "-"
+	}
+	return strings.Join(parts, "+")
+}
+
+func refDirAfterTurn(travel mesh.Dir, g refGroup) mesh.Dir { return travel.Turned(g.Turn()) }
+
+// panics reports whether f panics.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
+}
+
+// checkGroup compares Group(b) with the reference decoding of b, method by
+// method; b must fit in five bits.
+func checkGroup(b uint8) error {
+	g, want := Group(b), refUnpack(b)
+	if uint8(g) != want.pack() {
+		return fmt.Errorf("group %#x packs to %#x in the reference", b, want.pack())
+	}
+	if g.Zero() != want.Zero() || g.Transit() != want.Transit() || g.Valid() != want.Valid() || g.Interim() != want.Interim() {
+		return fmt.Errorf("group %#x: Zero/Transit/Valid/Interim %v %v %v %v, reference %v %v %v %v", b,
+			g.Zero(), g.Transit(), g.Valid(), g.Interim(), want.Zero(), want.Transit(), want.Valid(), want.Interim())
+	}
+	if g.String() != want.String() {
+		return fmt.Errorf("group %#x renders %q, reference %q", b, g.String(), want.String())
+	}
+	var turn, wantTurn mesh.Turn
+	if p, wp := panics(func() { turn = g.Turn() }), panics(func() { wantTurn = want.Turn() }); p != wp || turn != wantTurn {
+		return fmt.Errorf("group %#x: Turn %s (panics %v), reference %s (panics %v)", b, turn, p, wantTurn, wp)
+	}
+	for travel := mesh.North; travel < mesh.Local; travel++ {
+		var out, wantOut mesh.Dir
+		p := panics(func() { out = DirAfterTurn(travel, g) })
+		wp := panics(func() { wantOut = refDirAfterTurn(travel, want) })
+		if p != wp || out != wantOut {
+			return fmt.Errorf("group %#x travelling %s: DirAfterTurn %s (panics %v), reference %s (panics %v)", b, travel, out, p, wantOut, wp)
+		}
+	}
+	return nil
+}
+
+func TestGroupMatchesReference(t *testing.T) {
+	for b := 0; b <= groupMask; b++ {
+		if err := checkGroup(uint8(b)); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// FuzzGroupPackRoundTrip pins the 5-bit wire encoding against the
+// reference: any byte's low five bits behave as the reference decodes
+// them, and String does not panic even with higher bits set.
+func FuzzGroupPackRoundTrip(f *testing.F) {
+	for b := 0; b < 32; b += 7 {
+		f.Add(uint8(b))
+	}
+	f.Add(uint8(0x1f))
+	f.Add(uint8(0xff))
+	f.Fuzz(func(t *testing.T, b uint8) {
+		if err := checkGroup(b & groupMask); err != nil {
+			t.Error(err)
+		}
+		if got := Group(refUnpack(b).pack()); got != Group(b&groupMask) {
+			t.Errorf("reference round trip of %#x gives %s", b, got)
+		}
+		_ = Group(b).String()
+	})
+}
+
+// TestControlGroupsAreWireBytes checks that every accessor hands out the
+// wire byte: Head and Shift return C0's low five bits, and each of the
+// fourteen positions reads back what SetGroup wrote without touching its
+// neighbours.
+func TestControlGroupsAreWireBytes(t *testing.T) {
+	for b := 0; b <= groupMask; b++ {
+		g := Group(b)
+		for i := 0; i < MaxGroups; i++ {
+			c := Control{C0: 0x15 * wordOnes, C1: 0x0a * wordOnes}
+			c.SetGroup(i, g)
+			for j := 0; j < MaxGroups; j++ {
+				want := Group(0x15)
+				if j >= groupsPerWord {
+					want = 0x0a
+				}
+				if j == i {
+					want = g
+				}
+				if got := c.Group(j); got != want {
+					t.Fatalf("SetGroup(%d, %s): group %d is %s, want %s", i, g, j, got, want)
+				}
+			}
+			head := Group(c.C0 & 0x1f)
+			if got := c.Head(); got != head {
+				t.Fatalf("Head of %#x is %s, want %s", c.C0, got, head)
+			}
+			if got := c.Shift(); got != head {
+				t.Fatalf("Shift returned %s, want %s", got, head)
+			}
+		}
+	}
+}
 
 // refControl is the unpacked control format: Groups[0] is the group the
 // next router consumes, Used the number of meaningful groups.
@@ -24,7 +218,7 @@ type refControl struct {
 func (c *refControl) Shift() Group {
 	head := c.Groups[0]
 	copy(c.Groups[:], c.Groups[1:])
-	c.Groups[MaxGroups-1] = Group{}
+	c.Groups[MaxGroups-1] = 0
 	if c.Used > 0 {
 		c.Used--
 	}
@@ -33,13 +227,13 @@ func (c *refControl) Shift() Group {
 
 func (c *refControl) MarkInterims(maxHops int) {
 	for i := maxHops - 1; i < c.Used-1; i += maxHops {
-		c.Groups[i].Local = true
+		c.Groups[i] |= Local
 	}
 }
 
 func (c *refControl) NextStop() int {
 	for i := 0; i < c.Used; i++ {
-		if c.Groups[i].Local {
+		if c.Groups[i]&Local != 0 {
 			return i + 1
 		}
 	}
@@ -51,7 +245,7 @@ func (c *refControl) NextStop() int {
 func (c *refControl) segment() (links, taps int) {
 	links = c.NextStop()
 	for i := 0; i < links-1; i++ {
-		if c.Groups[i].Multicast {
+		if c.Groups[i]&Multicast != 0 {
 			taps++
 		}
 	}
@@ -62,9 +256,7 @@ func (c *refControl) segment() (links, taps int) {
 // interim stop that relaunches toward cont.
 func (c *refControl) truncate(travel, cont mesh.Dir) {
 	last := &c.Groups[c.Used-1]
-	last.Local = true
-	g := GroupForStep(travel, cont, false)
-	last.Straight, last.Left, last.Right = g.Straight, g.Left, g.Right
+	*last = *last&Multicast | Local | GroupForStep(travel, cont, false)
 }
 
 func refBuildControl(m *mesh.Mesh, src, dst mesh.NodeID) (refControl, mesh.Dir) {

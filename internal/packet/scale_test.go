@@ -40,7 +40,7 @@ func walkChain(t *testing.T, m *mesh.Mesh, src, dst mesh.NodeID) (int, int) {
 			if g.Zero() {
 				t.Fatalf("segment %d ran out of groups before a stop", segments)
 			}
-			if g.Local {
+			if g&Local != 0 {
 				break // final delivery or interim stop; pos takes over
 			}
 			travel = DirAfterTurn(travel, g)

@@ -7,7 +7,9 @@ package sim_test
 // benchmark/ times the same regime end to end on 32×32 and 64×64; these
 // benchmarks are the profiling form and the only event-vs-dense
 // comparison, for both the electrical and the optical kernel
-// (go test -bench KernelLowRate -cpuprofile …).
+// (go test -bench KernelLowRate -cpuprofile …). The optical kernel also
+// runs alone at 64×64, the largest sparse-large mesh, where a cost that
+// grows faster than the wavefront shows first.
 
 import (
 	"fmt"
@@ -62,10 +64,8 @@ func BenchmarkKernelLowRate(b *testing.B) {
 			cfg.Width, cfg.Height = size, size
 			benchCycles(b, electrical.NewReference(cfg), rate, warmup)
 		})
-		b.Run(fmt.Sprintf("optical-%dx%d", size, size), func(b *testing.B) {
-			cfg := core.DefaultConfig()
-			cfg.Width, cfg.Height = size, size
-			benchCycles(b, core.New(cfg), rate, warmup)
+		b.Run(fmt.Sprintf("optical-event-%dx%d", size, size), func(b *testing.B) {
+			benchOptical(b, size, rate, warmup)
 		})
 		b.Run(fmt.Sprintf("optical-dense-%dx%d", size, size), func(b *testing.B) {
 			cfg := core.DefaultConfig()
@@ -73,4 +73,12 @@ func BenchmarkKernelLowRate(b *testing.B) {
 			benchCycles(b, core.NewReference(cfg), rate, warmup)
 		})
 	}
+	b.Run("optical-event-64x64", func(b *testing.B) { benchOptical(b, 64, rate, 500+64*64/2) })
+}
+
+// benchOptical times the event-driven optical kernel on a size×size mesh.
+func benchOptical(b *testing.B, size int, rate float64, warmup int) {
+	cfg := core.DefaultConfig()
+	cfg.Width, cfg.Height = size, size
+	benchCycles(b, core.New(cfg), rate, warmup)
 }

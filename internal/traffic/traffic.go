@@ -147,9 +147,9 @@ type Injector struct {
 }
 
 // NewInjector builds an injector. rate is packets per node per cycle in
-// [0, 1].
+// [0, 1]; anything else, NaN included, panics.
 func NewInjector(p Pattern, nodes int, rate float64, seed int64) *Injector {
-	if rate < 0 || rate > 1 {
+	if !(rate >= 0 && rate <= 1) {
 		panic(fmt.Sprintf("traffic: injection rate %v out of [0,1]", rate))
 	}
 	return &Injector{pattern: p, nodes: nodes, rate: rate, rng: rand.New(rand.NewSource(seed))}

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"math"
 	"testing"
 
 	"phastlane/internal/mesh"
@@ -115,12 +116,16 @@ func TestInjectorSkipsSelfSlots(t *testing.T) {
 }
 
 func TestInjectorPanicsOnBadRate(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewInjector(rate=2) did not panic")
-		}
-	}()
-	NewInjector(BitComplement(64), 64, 2, 1)
+	for _, rate := range []float64{2, math.NaN(), -0.1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewInjector(rate=%v) did not panic", rate)
+				}
+			}()
+			NewInjector(BitComplement(64), 64, rate, 1)
+		}()
+	}
 }
 
 func TestLog2PanicsOnNonPowerOfTwo(t *testing.T) {
