@@ -77,6 +77,7 @@ func main() {
 		opts.Rates = append(opts.Rates, r)
 	}
 	cliflags.Rates("congestion", "rates", opts.Rates...)
+	cliflags.Rates("congestion", "static", *static)
 	pts, err := figures.Governed(opts)
 	if err != nil {
 		// A bad -configs or -patterns name is a usage error, like a bad flag.

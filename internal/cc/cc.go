@@ -144,42 +144,43 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Each float range is checked in
+// a form NaN fails.
 func (c Config) Validate() error {
-	if c.InitRate <= 0 || c.InitRate > c.MaxRate {
+	if !(c.InitRate > 0 && c.InitRate <= c.MaxRate) {
 		return fmt.Errorf("cc: init rate %v outside (0, %v]", c.InitRate, c.MaxRate)
 	}
-	if c.MinRate <= 0 || c.MinRate > c.MaxRate {
+	if !(c.MinRate > 0 && c.MinRate <= c.MaxRate) {
 		return fmt.Errorf("cc: min rate %v outside (0, %v]", c.MinRate, c.MaxRate)
 	}
-	if c.MaxRate > 1 {
-		return fmt.Errorf("cc: max rate %v above one packet/cycle", c.MaxRate)
+	if !(c.MaxRate <= 1) {
+		return fmt.Errorf("cc: max rate %v not at most one packet/cycle", c.MaxRate)
 	}
-	if c.Beta <= 0 || c.Beta >= 1 {
+	if !(c.Beta > 0 && c.Beta < 1) {
 		return fmt.Errorf("cc: beta %v outside (0, 1)", c.Beta)
 	}
-	if c.Gain <= 0 {
+	if !(c.Gain > 0) {
 		return fmt.Errorf("cc: gain %v", c.Gain)
 	}
 	if c.UpdateEvery < 1 {
 		return fmt.Errorf("cc: update period %d", c.UpdateEvery)
 	}
-	if c.BucketDepth < 1 {
-		return fmt.Errorf("cc: bucket depth %v below one packet", c.BucketDepth)
+	if !(c.BucketDepth >= 1) {
+		return fmt.Errorf("cc: bucket depth %v not at least one packet", c.BucketDepth)
 	}
-	if c.GradSmoothing <= 0 || c.GradSmoothing > 1 {
+	if !(c.GradSmoothing > 0 && c.GradSmoothing <= 1) {
 		return fmt.Errorf("cc: gradient smoothing %v outside (0, 1]", c.GradSmoothing)
 	}
-	if c.ThreshMin <= 0 || c.ThreshMax < c.ThreshMin || c.ThreshInit < c.ThreshMin || c.ThreshInit > c.ThreshMax {
+	if !(c.ThreshMin > 0 && c.ThreshMax >= c.ThreshMin && c.ThreshInit >= c.ThreshMin && c.ThreshInit <= c.ThreshMax) {
 		return fmt.Errorf("cc: threshold bounds init %v, min %v, max %v", c.ThreshInit, c.ThreshMin, c.ThreshMax)
 	}
-	if c.ThreshKUp <= 0 || c.ThreshKDown <= 0 {
+	if !(c.ThreshKUp > 0 && c.ThreshKDown > 0) {
 		return fmt.Errorf("cc: threshold gains up %v, down %v", c.ThreshKUp, c.ThreshKDown)
 	}
 	if c.OveruseWindows < 1 {
 		return fmt.Errorf("cc: overuse windows %d", c.OveruseWindows)
 	}
-	if c.NackHigh <= 0 || c.NackHigh > 1 || c.NackLow < 0 || c.NackLow >= c.NackHigh {
+	if !(c.NackHigh > 0 && c.NackHigh <= 1 && c.NackLow >= 0 && c.NackLow < c.NackHigh) {
 		return fmt.Errorf("cc: nack band [%v, %v]", c.NackLow, c.NackHigh)
 	}
 	if c.MinSamples < 1 {

@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -38,6 +39,21 @@ func TestConfigValidate(t *testing.T) {
 		"zero overuse":   func(c *Config) { c.OveruseWindows = 0 },
 		"zero thresh k":  func(c *Config) { c.ThreshKUp = 0 },
 		"min above max":  func(c *Config) { c.MinRate = c.MaxRate + 1 },
+		// NaN fails every comparison, so each float field needs its own row.
+		"NaN init":        func(c *Config) { c.InitRate = math.NaN() },
+		"NaN min":         func(c *Config) { c.MinRate = math.NaN() },
+		"NaN max":         func(c *Config) { c.MaxRate = math.NaN() },
+		"NaN beta":        func(c *Config) { c.Beta = math.NaN() },
+		"NaN gain":        func(c *Config) { c.Gain = math.NaN() },
+		"NaN bucket":      func(c *Config) { c.BucketDepth = math.NaN() },
+		"NaN smoothing":   func(c *Config) { c.GradSmoothing = math.NaN() },
+		"NaN thresh init": func(c *Config) { c.ThreshInit = math.NaN() },
+		"NaN thresh min":  func(c *Config) { c.ThreshMin = math.NaN() },
+		"NaN thresh max":  func(c *Config) { c.ThreshMax = math.NaN() },
+		"NaN thresh k up": func(c *Config) { c.ThreshKUp = math.NaN() },
+		"NaN thresh k dn": func(c *Config) { c.ThreshKDown = math.NaN() },
+		"NaN nack high":   func(c *Config) { c.NackHigh = math.NaN() },
+		"NaN nack low":    func(c *Config) { c.NackLow = math.NaN() },
 	} {
 		cfg := DefaultConfig()
 		mutate(&cfg)

@@ -45,29 +45,30 @@ func RegisterCC(fs *flag.FlagSet) *CC {
 }
 
 // Config materialises the block over cc.DefaultConfig with the given
-// governor seed.
+// governor seed. Every non-zero knob applies, so a NaN or negative value
+// reaches cc.Config.Validate instead of silently keeping the default.
 func (c *CC) Config(seed int64) cc.Config {
 	cfg := cc.DefaultConfig()
 	cfg.Seed = seed
-	if c.Rate > 0 {
+	if c.Rate != 0 {
 		cfg.InitRate = c.Rate
 	}
-	if c.Min > 0 {
+	if c.Min != 0 {
 		cfg.MinRate = c.Min
 	}
-	if c.Max > 0 {
+	if c.Max != 0 {
 		cfg.MaxRate = c.Max
 	}
-	if c.Beta > 0 {
+	if c.Beta != 0 {
 		cfg.Beta = c.Beta
 	}
-	if c.Gain > 0 {
+	if c.Gain != 0 {
 		cfg.Gain = c.Gain
 	}
-	if c.Every > 0 {
+	if c.Every != 0 {
 		cfg.UpdateEvery = c.Every
 	}
-	if c.Depth > 0 {
+	if c.Depth != 0 {
 		cfg.BucketDepth = c.Depth
 	}
 	return cfg

@@ -112,3 +112,27 @@ func TestRates(t *testing.T) {
 		t.Fatalf("Rates(NaN) printed %q, want %q", out, want)
 	}
 }
+
+// A NaN or negative -cc-* knob is a validation error, not the default.
+func TestCCGovernorRejectsBadKnobs(t *testing.T) {
+	if g, err := (&CC{Enabled: true}).Governor(64, 1); err != nil || g == nil {
+		t.Fatalf("default block: governor %v, error %v", g, err)
+	}
+	for _, bad := range []float64{math.NaN(), -3} {
+		for name, c := range map[string]CC{
+			"cc-rate":  {Enabled: true, Rate: bad},
+			"cc-min":   {Enabled: true, Min: bad},
+			"cc-max":   {Enabled: true, Max: bad},
+			"cc-beta":  {Enabled: true, Beta: bad},
+			"cc-gain":  {Enabled: true, Gain: bad},
+			"cc-depth": {Enabled: true, Depth: bad},
+		} {
+			if _, err := c.Governor(64, 1); err == nil {
+				t.Errorf("-%s %v accepted", name, bad)
+			}
+		}
+	}
+	if _, err := (&CC{Enabled: true, Every: -3}).Governor(64, 1); err == nil {
+		t.Error("-cc-every -3 accepted")
+	}
+}

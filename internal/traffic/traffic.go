@@ -138,13 +138,32 @@ func Patterns(nodes int) []Pattern {
 
 // Injector generates packets with Bernoulli timing: each node independently
 // injects with probability Rate each cycle.
+//
+// The draws are exactly those of rand.New(rand.NewSource(seed)).Float64,
+// one per node per cycle in node order, so results match the
+// Float64-per-node loop bit for bit. The injector runs math/rand's
+// source itself, a block at a time (refill), and decides each node with
+// one integer compare against cut.
 type Injector struct {
 	pattern Pattern
 	nodes   int
-	rate    float64
-	rng     *rand.Rand
+	cut     uint64 // a node injects iff its final Int63 draw is below cut
+	pos     int    // next unread word of stream
+	stream  [streamLen]uint64
 	buf     []Injection // reused across Tick calls
 }
+
+// math/rand's rngSource is an additive lagged-Fibonacci generator: its
+// output n is y[n] = y[n-streamLen] + y[n-streamTap] mod 2^64, and Int63
+// is y & int63Mask.
+const (
+	streamLen = 607
+	streamTap = 273
+	int63Mask = 1<<63 - 1
+	// redrawBound is the smallest Int63 whose quotient float64(x)/(1<<63)
+	// rounds to 1, so Float64 draws again for every x >= 2^63-512.
+	redrawBound = 1<<63 - 512
+)
 
 // NewInjector builds an injector. rate is packets per node per cycle in
 // [0, 1]; anything else, NaN included, panics.
@@ -152,7 +171,45 @@ func NewInjector(p Pattern, nodes int, rate float64, seed int64) *Injector {
 	if !(rate >= 0 && rate <= 1) {
 		panic(fmt.Sprintf("traffic: injection rate %v out of [0,1]", rate))
 	}
-	return &Injector{pattern: p, nodes: nodes, rate: rate, rng: rand.New(rand.NewSource(seed))}
+	in := &Injector{pattern: p, nodes: nodes, cut: injectCut(rate)}
+	// The first streamLen outputs are both the first draws and the whole
+	// generator state; refill continues the stream from them.
+	src := rand.NewSource(seed).(rand.Source64)
+	for i := range in.stream {
+		in.stream[i] = src.Uint64()
+	}
+	return in
+}
+
+// injectCut returns the smallest Int63 x with float64(x)/(1<<63) >= rate,
+// so Float64() < rate exactly when x < cut. Rounding is monotone in x, so
+// a binary search finds it; rate*2^63 would not, since an x just below a
+// representable rate*2^63 can round up to it. At most redrawBound, where
+// the quotient is 1: a draw at or above it is redrawn, never final.
+func injectCut(rate float64) uint64 {
+	lo, hi := uint64(0), uint64(redrawBound)
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if float64(int64(mid))/(1<<63) >= rate {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// refill replaces the stream with its next streamLen outputs, in place:
+// y[n+607] = y[n] + y[n+334] reads the old block for the first 273 words
+// and the new block, 273 words back, for the rest.
+func (in *Injector) refill() {
+	v := &in.stream
+	for k := 0; k < streamTap; k++ {
+		v[k] += v[k+streamLen-streamTap]
+	}
+	for k := streamTap; k < streamLen; k++ {
+		v[k] += v[k-streamTap]
+	}
 }
 
 // Injection describes one generated packet.
@@ -168,17 +225,40 @@ type Injection struct {
 // allocate.
 func (in *Injector) Tick() []Injection {
 	out := in.buf[:0]
-	for n := 0; n < in.nodes; n++ {
-		if in.rng.Float64() >= in.rate {
+	cut, span := in.cut, redrawBound-in.cut
+	pos := in.pos
+	for n := 0; n < in.nodes; {
+		if pos == streamLen {
+			in.refill()
+			pos = 0
+		}
+		// Skip the idle nodes: draw x stays idle iff cut <= x < redrawBound.
+		blk := in.stream[pos:min(streamLen, pos+in.nodes-n)]
+		i := 0
+		for i < len(blk) && blk[i]&int63Mask-cut < span {
+			i++
+		}
+		n += i
+		pos += i
+		if i == len(blk) {
 			continue
 		}
-		src := mesh.NodeID(n)
-		dst := in.pattern.Dest(src)
-		if dst == src {
+		x := blk[i] & int63Mask
+		pos++
+		if x >= redrawBound {
+			// Float64 would round x to 1 and draw again: node n reads
+			// the next word, as a fresh draw.
 			continue
 		}
-		out = append(out, Injection{Src: src, Dst: dst})
+		if x < cut {
+			src := mesh.NodeID(n)
+			if dst := in.pattern.Dest(src); dst != src {
+				out = append(out, Injection{Src: src, Dst: dst})
+			}
+		}
+		n++
 	}
+	in.pos = pos
 	in.buf = out
 	return out
 }
