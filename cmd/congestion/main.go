@@ -59,6 +59,7 @@ func main() {
 	plots := flag.Bool("plots", false, "render ASCII throughput, tail and recovery plots")
 	telemetryAddr := cliflags.TelemetryAddr(flag.CommandLine)
 	flag.Parse()
+	cliflags.Counts("congestion", flag.CommandLine, "warmup", "measure", "recovery-measure")
 	if _, err := telemetry.Start(*telemetryAddr, nil); err != nil {
 		fail(err)
 	}
@@ -78,6 +79,7 @@ func main() {
 	}
 	cliflags.Rates("congestion", "rates", opts.Rates...)
 	cliflags.Rates("congestion", "static", *static)
+	opts = opts.Resolved()
 	pts, err := figures.Governed(opts)
 	if err != nil {
 		// A bad -configs or -patterns name is a usage error, like a bad flag.
@@ -93,16 +95,9 @@ func main() {
 	}
 
 	rep := report{
-		Configs: orDefault(opts.Configs, []string{"Optical4", "Electrical3"}),
-		Patterns: orDefault(opts.Patterns,
-			[]string{"Uniform", "BitComp"}),
-		Rates:      orDefaultF(opts.Rates, []float64{0.30, 0.40, 0.50, 0.60, 0.70}),
-		StaticRate: *static,
-		Warmup:     *warmup, Measure: *measure, Seed: *seed,
-		Points: pts,
-	}
-	if rep.StaticRate == 0 {
-		rep.StaticRate = 0.30
+		Configs: opts.Configs, Patterns: opts.Patterns, Rates: opts.Rates,
+		StaticRate: opts.StaticRate, Warmup: opts.Warmup, Measure: opts.Measure,
+		Seed: opts.Seed, Points: pts,
 	}
 
 	if *plots {
@@ -149,20 +144,6 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-func orDefault(v, def []string) []string {
-	if len(v) == 0 {
-		return def
-	}
-	return v
-}
-
-func orDefaultF(v, def []float64) []float64 {
-	if len(v) == 0 {
-		return def
-	}
-	return v
 }
 
 func fail(err error) { cliflags.Fail("congestion", err) }

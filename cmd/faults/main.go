@@ -60,6 +60,7 @@ func main() {
 	telemetryAddr := cliflags.TelemetryAddr(flag.CommandLine)
 	flag.Parse()
 	cliflags.Rates("faults", "rate", *rate)
+	cliflags.Counts("faults", flag.CommandLine, "warmup", "measure", "trials")
 	if _, err := telemetry.Start(*telemetryAddr, nil); err != nil {
 		fail(err)
 	}
@@ -69,11 +70,12 @@ func main() {
 		return
 	}
 
-	pts := figures.Degradation(figures.DegradationOpts{
+	opts := figures.DegradationOpts{
 		Rate: *rate, Warmup: *warmup, Measure: *measure,
 		Trials: *trials, Seed: *seed, Workers: *workers,
-	})
-	table := figures.DegradationTable(pts)
+	}.Resolved()
+	pts := figures.Degradation(opts)
+	table := figures.DegradationTable(opts, pts)
 	if *csv {
 		fmt.Print(table.CSV())
 	} else {
@@ -86,8 +88,8 @@ func main() {
 	}
 	if *jsonPath != "" {
 		doc, err := json.MarshalIndent(report{
-			Rate: *rate, Warmup: *warmup, Measure: *measure,
-			Trials: *trials, Seed: *seed, Points: pts,
+			Rate: opts.Rate, Warmup: opts.Warmup, Measure: opts.Measure,
+			Trials: opts.Trials, Seed: opts.Seed, Points: pts,
 		}, "", "  ")
 		if err != nil {
 			fail(err)

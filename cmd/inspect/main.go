@@ -2,8 +2,9 @@
 // observability bundle attached and dumps everything it sees: a summary
 // table, per-node event matrices, cycle-windowed time series, ASCII
 // link-utilization and drop heatmaps, and a Perfetto-compatible event
-// trace that loads in ui.perfetto.dev or chrome://tracing. It is the deep
-// dive behind a single point of a cmd/sweep curve.
+// trace that loads in ui.perfetto.dev or chrome://tracing. It re-runs any
+// single point of a Fig. 9 curve (reproduce -only fig9): pick the
+// pattern, the rate and the network variant.
 //
 // Usage:
 //
@@ -15,6 +16,8 @@
 //	inspect -topo benes -width 8 -height 1   # deep-dive an indirect fabric
 //	inspect -telemetry-addr :9090            # live metrics + pprof endpoint
 //	inspect -why -rate 0.3                   # per-packet tail-blame report
+//	inspect -why -pattern BitRev -rate 0.15 \
+//	    -net electrical -delay 2             # one Fig. 9 point (Electrical2)
 //	inspect -why -why-out report.json        # JSON report; exit 1 unless
 //	                                         # 95% attributed (-min-attrib)
 package main
@@ -59,6 +62,7 @@ func main() {
 		"with -why, fail unless every sampled packet's named stages explain at least this latency fraction")
 	flag.Parse()
 	cliflags.Rates("inspect", "rate", *rate)
+	cliflags.Counts("inspect", flag.CommandLine, "warmup", "measure")
 	why.Clamp()
 	if !why.Why {
 		flag.Visit(func(f *flag.Flag) {

@@ -55,6 +55,7 @@ func main() {
 	telFlags := telemetry.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	cliflags.Rates("phastlane", "rate", *rate)
+	cliflags.Counts("phastlane", flag.CommandLine, "measure")
 
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
@@ -176,7 +177,7 @@ func main() {
 			Pattern: pattern, Rate: *rate, Measure: *measure, Seed: *seed,
 			Telemetry: tel, CC: gov,
 		})
-		fmt.Printf("pattern %s at rate %.3f over %d cycles\n", *trafficName, *rate, *measure)
+		fmt.Printf("pattern %s at rate %.3f over %d cycles\n", *trafficName, *rate, res.Run.Cycles)
 		if gov != nil {
 			fmt.Printf("cc: mean admitted rate %.4f pkts/node/cycle; %d injections paced\n",
 				gov.MeanRate(), res.Paced)

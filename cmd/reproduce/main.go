@@ -1,15 +1,24 @@
-// Command reproduce regenerates the paper's entire evaluation in one run
-// and writes each table/figure to a results directory as both an aligned
-// text table and CSV: Figs. 4-8 and Tables 1-4 (design space), Fig. 9
-// (synthetic sweeps), Figs. 10-11 (SPLASH2 speedup and power), the
-// headline summary, and the beyond-the-paper architecture comparison and
-// sensitivity sweep. The simulation grids fan out over a worker pool;
-// results are bit-identical for any worker count.
+// Command reproduce regenerates the paper's evaluation and writes each
+// table/figure to a results directory as both an aligned text table and
+// CSV. It runs five stages, in this order:
+//
+//	design       Figs. 4-8 and Tables 1-4 (analytic models, always full scale)
+//	fig9         Fig. 9 latency tables, their p50/p95/p99 long form
+//	             (fig9_<P>_tails) and ASCII charts (fig9_<P>_plot.txt)
+//	splash       Figs. 10-11 (SPLASH2 speedup and power) and headline.txt
+//	compare      the beyond-the-paper architecture comparison
+//	sensitivity  the design-knob sensitivity sweep
+//
+// -only selects a comma list of stages; empty runs all five. The
+// simulation grids fan out over a worker pool; results are bit-identical
+// for any worker count. -trace-out, -metrics-out and -heatmap deep-dive
+// every architecture of the comparison at uniform 0.10 after the stages.
 //
 // Usage:
 //
-//	reproduce -out results/              # full scale (several minutes)
-//	reproduce -out results/ -quick       # reduced scale (tens of seconds)
+//	reproduce -out results/              # full scale (~40 s on 2 vCPUs)
+//	reproduce -out results/ -quick       # reduced scale (~6 s on 2 vCPUs)
+//	reproduce -out results/ -only fig9   # one stage
 //	reproduce -out results/ -parallel 4  # explicit worker count (0 = all cores)
 package main
 
@@ -18,17 +27,47 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"phastlane/internal/cliflags"
+	"slices"
+	"strings"
 	"time"
 
+	"phastlane/internal/cliflags"
 	"phastlane/internal/exp"
 	"phastlane/internal/figures"
 	"phastlane/internal/stats"
 	"phastlane/internal/telemetry"
+	"phastlane/internal/traffic"
 )
+
+// stages names the stages in the order they always run.
+var stages = []string{"design", "fig9", "splash", "compare", "sensitivity"}
+
+// parseOnly turns the -only list into the selected stages in run order;
+// an empty list selects every stage.
+func parseOnly(list string) ([]string, error) {
+	if list == "" {
+		return stages, nil
+	}
+	want := map[string]bool{}
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		if !slices.Contains(stages, name) {
+			return nil, fmt.Errorf("-only: unknown stage %q (want a comma list of %s)", name, strings.Join(stages, ", "))
+		}
+		want[name] = true
+	}
+	var out []string
+	for _, s := range stages {
+		if want[s] {
+			out = append(out, s)
+		}
+	}
+	return out, nil
+}
 
 func main() {
 	out := flag.String("out", "results", "output directory")
+	only := flag.String("only", "", "comma list of stages to run: "+strings.Join(stages, ", ")+" (empty = all)")
 	quick := flag.Bool("quick", false, "reduced-scale run")
 	seed := cliflags.Seed(flag.CommandLine)
 	parallel := flag.Int("parallel", 0, "worker pool size (0 = one per core)")
@@ -38,6 +77,10 @@ func main() {
 	heatmap := flag.Bool("heatmap", false, "print link-utilization and drop heatmaps for the inspection stage")
 	telemetryAddr := cliflags.TelemetryAddr(flag.CommandLine)
 	flag.Parse()
+	selected, err := parseOnly(*only)
+	if err != nil {
+		fail(err)
+	}
 	if _, err := telemetry.Start(*telemetryAddr, nil); err != nil {
 		fail(err)
 	}
@@ -52,79 +95,97 @@ func main() {
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fail(err)
 	}
-	write := func(name string, t *stats.Table) {
-		if err := os.WriteFile(filepath.Join(*out, name+".txt"), []byte(t.String()), 0o644); err != nil {
+	save := func(file, text string) {
+		if err := os.WriteFile(filepath.Join(*out, file), []byte(text), 0o644); err != nil {
 			fail(err)
 		}
-		if err := os.WriteFile(filepath.Join(*out, name+".csv"), []byte(t.CSV()), 0o644); err != nil {
-			fail(err)
+	}
+	// write saves a table as <name>.txt and <name>.csv, and a plot as
+	// <name>.txt.
+	write := func(name string, v fmt.Stringer) {
+		save(name+".txt", v.String())
+		if t, ok := v.(*stats.Table); ok {
+			save(name+".csv", t.CSV())
 		}
 		fmt.Printf("wrote %s (%.1fs elapsed)\n", name, time.Since(start).Seconds())
 	}
 
-	// Design space: cheap, always full scale.
-	write("fig4_scaling", figures.Fig4())
-	write("fig5_critical_paths", figures.Fig5())
-	write("fig6_max_hops", figures.Fig6())
-	write("fig7_peak_power", figures.Fig7())
-	write("fig8_area", figures.Fig8())
-	write("table1_optical_config", figures.Table1())
-	write("table2_electrical_config", figures.Table2())
-	write("table3_benchmarks", figures.Table3())
-	write("table4_cache_config", figures.Table4())
+	for _, stage := range selected {
+		switch stage {
+		case "design":
+			write("fig4_scaling", figures.Fig4())
+			write("fig5_critical_paths", figures.Fig5())
+			write("fig6_max_hops", figures.Fig6())
+			write("fig7_peak_power", figures.Fig7())
+			write("fig8_area", figures.Fig8())
+			write("table1_optical_config", figures.Table1())
+			write("table2_electrical_config", figures.Table2())
+			write("table3_benchmarks", figures.Table3())
+			write("table4_cache_config", figures.Table4())
 
-	// Fig. 9 sweeps.
-	f9 := figures.Fig9Opts{Seed: *seed, Workers: *parallel, Progress: progress("fig9")}
-	if *quick {
-		f9.Rates = []float64{0.02, 0.10, 0.20}
-		f9.Warmup, f9.Measure = 300, 1000
-	}
-	for _, res := range figures.Fig9(f9) {
-		write("fig9_"+res.Pattern, figures.Fig9Table(res))
+		case "fig9":
+			f9 := figures.Fig9Opts{Seed: *seed, Workers: *parallel, Progress: progress("fig9")}
+			if *quick {
+				f9.Rates = []float64{0.02, 0.10, 0.20}
+				f9.Warmup, f9.Measure = 300, 1000
+			}
+			for _, res := range figures.Fig9(f9) {
+				write("fig9_"+res.Pattern, figures.Fig9Table(res))
+				write("fig9_"+res.Pattern+"_tails", figures.Fig9TailTable(res))
+				write("fig9_"+res.Pattern+"_plot", figures.Fig9Plot(res))
+			}
+
+		case "splash":
+			so := figures.SplashOpts{Seed: *seed, Workers: *parallel, Progress: progress("splash")}
+			if *quick {
+				so.Messages = 5000
+			}
+			rows, err := figures.Splash(so)
+			if err != nil {
+				fail(err)
+			}
+			write("fig10_speedup", figures.Fig10Table(rows))
+			write("fig11_power", figures.Fig11Table(rows))
+			h := figures.Summarise(rows, "Optical4")
+			headline := fmt.Sprintf("Optical4 headline: %.2fx geomean network speedup, %.0f%% lower network power (paper: 2X, 80%%)\n",
+				h.GeoMeanSpeedup, h.PowerReduction*100)
+			for _, cfg := range []string{"Optical4", "Optical5", "Optical8"} {
+				h := figures.Summarise(rows, cfg)
+				headline += fmt.Sprintf("%-9s geomean network speedup %.2fx, network power %+.0f%% vs Electrical3\n",
+					cfg, h.GeoMeanSpeedup, -h.PowerReduction*100)
+			}
+			save("headline.txt", headline)
+			fmt.Print(headline)
+
+		case "compare":
+			co := figures.CompareOpts{Seed: *seed, Workers: *parallel, Progress: progress("compare")}
+			if *quick {
+				co.Messages, co.Measure = 3000, 1000
+			}
+			cmp, err := figures.Compare(co)
+			if err != nil {
+				fail(err)
+			}
+			write("comparison_architectures", figures.CompareTable(cmp, nil))
+
+		case "sensitivity":
+			sv := figures.SensitivityOpts{Seed: *seed, Benchmark: "Barnes", Workers: *parallel, Progress: progress("sensitivity")}
+			if *quick {
+				sv.Messages = 3000
+			}
+			pts, err := figures.Sensitivity(sv)
+			if err != nil {
+				fail(err)
+			}
+			write("sensitivity_knobs", figures.SensitivityTable(pts, sv.Benchmark))
+		}
 	}
 
-	// Figs. 10-11.
-	so := figures.SplashOpts{Seed: *seed, Workers: *parallel, Progress: progress("splash")}
-	if *quick {
-		so.Messages = 5000
-	}
-	rows, err := figures.Splash(so)
-	if err != nil {
-		fail(err)
-	}
-	write("fig10_speedup", figures.Fig10Table(rows))
-	write("fig11_power", figures.Fig11Table(rows))
-	h := figures.Summarise(rows, "Optical4")
-	headline := fmt.Sprintf("Optical4 headline: %.2fx geomean network speedup, %.0f%% lower network power (paper: 2X, 80%%)\n",
-		h.GeoMeanSpeedup, h.PowerReduction*100)
-	if err := os.WriteFile(filepath.Join(*out, "headline.txt"), []byte(headline), 0o644); err != nil {
-		fail(err)
-	}
-	fmt.Print(headline)
-
-	// Beyond the paper.
-	co := figures.CompareOpts{Seed: *seed, Workers: *parallel, Progress: progress("compare")}
-	if *quick {
-		co.Messages, co.Measure = 3000, 1000
-	}
-	cmp, err := figures.Compare(co)
-	if err != nil {
-		fail(err)
-	}
-	write("comparison_architectures", figures.CompareTable(cmp, nil))
-
-	sv := figures.SensitivityOpts{Seed: *seed, Benchmark: "Barnes", Workers: *parallel, Progress: progress("sensitivity")}
-	if *quick {
-		sv.Messages = 3000
-	}
-	pts, err := figures.Sensitivity(sv)
-	if err != nil {
-		fail(err)
-	}
-	write("sensitivity_knobs", figures.SensitivityTable(pts, sv.Benchmark))
-
-	// Observability deep dive: the headline pair on uniform traffic at
-	// 0.10 packets/node/cycle, dumped as trace + matrices + series.
+	// Observability deep dive: every architecture of the comparison on
+	// uniform traffic at 0.10 packets/node/cycle, dumped as trace +
+	// matrices + series. The related-work networks carry no event
+	// instrumentation, so only their time series fill; the bundle says
+	// so per network.
 	bundle := figures.BundleOpts{Heatmap: *heatmap}
 	if *traceOut {
 		bundle.TracePath = filepath.Join(*out, "inspect_trace.json")
@@ -139,14 +200,11 @@ func main() {
 			warmup, measure = 300, 1000
 		}
 		var inspects []figures.InspectOpts
-		for _, cfg := range []figures.NetConfig{figures.Optical4, figures.Electrical3} {
-			p, err := figures.PatternByName("Uniform", 64, *seed)
-			if err != nil {
-				fail(err)
-			}
+		for _, cfg := range figures.CompareConfigs() {
 			inspects = append(inspects, figures.InspectOpts{
-				Name: cfg.Name, Build: cfg.Build, Width: 8, Height: 8,
-				Pattern: p, Rate: 0.10, Warmup: warmup, Measure: measure, Seed: *seed,
+				Name: cfg.Name, Build: cfg.Build, Width: 8, Height: 8, Topo: cfg.Topo,
+				Pattern: traffic.UniformRandom(64, *seed), Rate: 0.10,
+				Warmup: warmup, Measure: measure, Seed: *seed,
 			})
 		}
 		if _, err := figures.InspectBundle(inspects, exp.Options{Workers: *parallel}, bundle, os.Stdout); err != nil {

@@ -2,9 +2,11 @@
 // to copy-paste: the topology/geometry flags (-topo, -width, -height,
 // -arity) behind one fabric builder, the shared -seed flag, the plain
 // -telemetry-addr endpoint flag, the -faults argument parser, the
-// injection-rate check, and the uniform error exit. Single-run cmds still register the full
-// telemetry.CLI bundle (flight recorder, phase sampling) on top of
-// these; sweep-style cmds take just the endpoint address.
+// injection-rate and count checks, and the uniform error exit.
+// Single-run cmds (phastlane) still register the full telemetry.CLI
+// bundle (flight recorder, phase sampling) on top of these; the study
+// cmds (reproduce, inspect, faults, congestion) take just the endpoint
+// address.
 package cliflags
 
 import (
@@ -86,9 +88,9 @@ func (g *Geometry) FabricNetwork(routerDelay int, lossTimeout int64, seed int64)
 // Seed registers the shared -seed flag.
 func Seed(fs *flag.FlagSet) *int64 { return fs.Int64("seed", 1, "random seed") }
 
-// TelemetryAddr registers the endpoint-only telemetry flag the
-// sweep-style cmds use with telemetry.Start; single-run cmds register
-// the full telemetry.CLI bundle instead.
+// TelemetryAddr registers the endpoint-only telemetry flag the study
+// cmds use with telemetry.Start; single-run cmds register the full
+// telemetry.CLI bundle instead.
 func TelemetryAddr(fs *flag.FlagSet) *string {
 	return fs.String("telemetry-addr", "",
 		"serve live telemetry (Prometheus /metrics, /telemetry.json, /debug/pprof/) on this address; empty = off")
@@ -127,6 +129,26 @@ func checkRates(flagName string, rates []float64) error {
 	for _, r := range rates {
 		if !(r >= 0 && r <= 1) {
 			return fmt.Errorf("-%s %v is not an injection rate in [0, 1]", flagName, r)
+		}
+	}
+	return nil
+}
+
+// Counts exits through Fail if any of the int flags named in names, as
+// registered on fs, holds a negative value. Cycle and trial counts take 0
+// as "use the default"; a negative count is an input error, not another
+// spelling of the default.
+func Counts(cmd string, fs *flag.FlagSet, names ...string) {
+	if err := checkCounts(fs, names); err != nil {
+		Fail(cmd, err)
+	}
+}
+
+// checkCounts names the first of the named int flags that is negative.
+func checkCounts(fs *flag.FlagSet, names []string) error {
+	for _, name := range names {
+		if n := fs.Lookup(name).Value.(flag.Getter).Get().(int); n < 0 {
+			return fmt.Errorf("-%s %d is negative", name, n)
 		}
 	}
 	return nil

@@ -136,3 +136,23 @@ func TestCCGovernorRejectsBadKnobs(t *testing.T) {
 		t.Error("-cc-every -3 accepted")
 	}
 }
+
+// A negative count flag is an error naming it; zero keeps the default.
+func TestCounts(t *testing.T) {
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	fs.Int("warmup", 300, "")
+	fs.Int("measure", 1500, "")
+	if err := fs.Parse([]string{"-warmup", "0"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkCounts(fs, []string{"warmup", "measure"}); err != nil {
+		t.Fatalf("valid counts rejected: %v", err)
+	}
+	if err := fs.Set("measure", "-1"); err != nil {
+		t.Fatal(err)
+	}
+	err := checkCounts(fs, []string{"warmup", "measure"})
+	if want := "-measure -1 is negative"; err == nil || err.Error() != want {
+		t.Fatalf("got error %v, want %q", err, want)
+	}
+}

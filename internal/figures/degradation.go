@@ -27,12 +27,12 @@ type DegradationOpts struct {
 	// 0.10 sits comfortably below the healthy-network knee so any
 	// degradation is attributable to the faults.
 	Rate float64
-	// Warmup and Measure cycles per point; zero uses 300 and 1500 — the
-	// sweep runs many points, so the defaults are deliberately shorter
-	// than RunRate's.
+	// Warmup and Measure cycles per point; values below 1 use 300 and
+	// 1500 — the sweep runs many points, so the defaults are
+	// deliberately shorter than RunRate's.
 	Warmup, Measure int
 	// Trials is how many independent fault placements are averaged per
-	// point (default 2). More trials smooth placement luck.
+	// point (values below 1 use 2). More trials smooth placement luck.
 	Trials int
 	Seed   int64
 	// Workers sizes the pool the points fan out over; values below 1 use
@@ -125,23 +125,31 @@ func degradationNet(config string, plan *fault.Plan, seed int64) sim.Network {
 	}
 }
 
+// Resolved returns opts with every unset field at its documented
+// default. Degradation runs the resolved options, so a report built from
+// them records what ran.
+func (opts DegradationOpts) Resolved() DegradationOpts {
+	if opts.Rate == 0 {
+		opts.Rate = 0.10
+	}
+	if opts.Warmup <= 0 {
+		opts.Warmup = 300
+	}
+	if opts.Measure <= 0 {
+		opts.Measure = 1500
+	}
+	if opts.Trials <= 0 {
+		opts.Trials = 2
+	}
+	return opts
+}
+
 // Degradation runs the fault sweeps and returns all points in a stable
 // order (axis, level, config). Each point's fault placements derive from
 // (Seed, point index, trial) alone, so two runs with the same options are
 // bit-identical regardless of worker count.
 func Degradation(opts DegradationOpts) []DegradationPoint {
-	if opts.Rate == 0 {
-		opts.Rate = 0.10
-	}
-	if opts.Warmup == 0 {
-		opts.Warmup = 300
-	}
-	if opts.Measure == 0 {
-		opts.Measure = 1500
-	}
-	if opts.Trials == 0 {
-		opts.Trials = 2
-	}
+	opts = opts.Resolved()
 	type job struct {
 		axis   string
 		level  float64
@@ -188,10 +196,11 @@ func Degradation(opts DegradationOpts) []DegradationPoint {
 	return pts
 }
 
-// DegradationTable renders the sweep in long form, one row per point.
-func DegradationTable(pts []DegradationPoint) *stats.Table {
+// DegradationTable renders the sweep run with opts in long form, one row
+// per point; the title carries the resolved offered rate.
+func DegradationTable(opts DegradationOpts, pts []DegradationPoint) *stats.Table {
 	t := &stats.Table{
-		Title:   "Degradation: throughput/latency vs fault rate (offered 0.10 uniform)",
+		Title:   fmt.Sprintf("Degradation: throughput/latency vs fault rate (offered %s uniform)", stats.F(opts.Resolved().Rate)),
 		Columns: []string{"axis", "level", "config", "throughput", "latency", "lost", "unresolved"},
 	}
 	for _, p := range pts {

@@ -2,6 +2,8 @@ package figures
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -67,7 +69,7 @@ func TestDegradationCurvesBehave(t *testing.T) {
 
 func TestDegradationTableAndPlot(t *testing.T) {
 	pts := Degradation(DegradationOpts{Rate: 0.05, Warmup: 50, Measure: 150, Trials: 1, Seed: 9})
-	tbl := DegradationTable(pts)
+	tbl := DegradationTable(DegradationOpts{Rate: 0.05}, pts)
 	if len(tbl.Rows) != len(pts) {
 		t.Fatalf("table has %d rows for %d points", len(tbl.Rows), len(pts))
 	}
@@ -77,5 +79,33 @@ func TestDegradationTableAndPlot(t *testing.T) {
 	}
 	if s := plot.String(); s == "" {
 		t.Fatal("empty plot render")
+	}
+}
+
+// TestStudyOptionsResolveDefaults checks that zero-valued study options
+// resolve to their documented defaults, so a report built from the
+// resolved options records what ran, and that the degradation table's
+// title carries the resolved offered rate.
+func TestStudyOptionsResolveDefaults(t *testing.T) {
+	if got, want := (DegradationOpts{Seed: 4}).Resolved(), (DegradationOpts{
+		Rate: 0.10, Warmup: 300, Measure: 1500, Trials: 2, Seed: 4,
+	}); !reflect.DeepEqual(got, want) {
+		t.Errorf("DegradationOpts{Seed: 4}.Resolved() = %+v, want %+v", got, want)
+	}
+	if got, want := (GovernedOpts{Seed: 4}).Resolved(), (GovernedOpts{
+		Configs: []string{"Optical4", "Electrical3"}, Patterns: []string{"Uniform", "BitComp"},
+		Rates: []float64{0.30, 0.40, 0.50, 0.60, 0.70}, StaticRate: 0.30,
+		Warmup: 300, Measure: 2000, Seed: 4,
+	}); !reflect.DeepEqual(got, want) {
+		t.Errorf("GovernedOpts{Seed: 4}.Resolved() = %+v, want %+v", got, want)
+	}
+	set := DegradationOpts{Rate: 0.25, Warmup: 10, Measure: 20, Trials: 3}
+	if got := set.Resolved(); !reflect.DeepEqual(got, set) {
+		t.Errorf("Resolved() changed set options %+v to %+v", set, got)
+	}
+	for rate, want := range map[float64]string{0: "offered 0.10 uniform", 0.25: "offered 0.25 uniform"} {
+		if title := DegradationTable(DegradationOpts{Rate: rate}, nil).Title; !strings.Contains(title, want) {
+			t.Errorf("DegradationTable at rate %v: title %q, want it to contain %q", rate, title, want)
+		}
 	}
 }

@@ -135,7 +135,7 @@ func Fig9Table(r Fig9Result) *stats.Table {
 
 // Fig9TailTable renders one pattern's curves in long form with the tail of
 // the latency distribution: one row per (rate, config) carrying
-// mean/p50/p95/p99, the data behind the -csv sweep export.
+// mean/p50/p95/p99, the data behind reproduce's fig9_<P>_tails files.
 func Fig9TailTable(r Fig9Result) *stats.Table {
 	t := &stats.Table{
 		Title:   fmt.Sprintf("Fig. 9 (%s): latency distribution (cycles)", r.Pattern),

@@ -55,7 +55,8 @@ type GovernedOpts struct {
 	// (default 0.30 — the conservative below-knee rate an operator
 	// would provision without feedback).
 	StaticRate float64
-	// Warmup and Measure cycles per point; zero uses 300 and 2000.
+	// Warmup and Measure cycles per point; values below 1 use 300 and
+	// 2000.
 	Warmup, Measure int
 	Seed            int64
 	// Workers sizes the pool the points fan out over; values below 1
@@ -126,18 +127,38 @@ func JainFairness(delivered []int64) float64 {
 	return sum * sum / (float64(len(delivered)) * sumSq)
 }
 
-// Governed runs the sweep and returns all points in a stable (config,
-// pattern, mode, rate) order. Every point builds a fresh network, pattern
-// and governor, so two runs with the same options are bit-identical
-// regardless of worker count. An unknown config or pattern name is an
-// error, returned before any point runs.
-func Governed(opts GovernedOpts) ([]GovernedPoint, error) {
+// Resolved returns opts with every unset field at its documented
+// default. Governed runs the resolved options, so a report built from
+// them records what ran.
+func (opts GovernedOpts) Resolved() GovernedOpts {
 	if len(opts.Configs) == 0 {
 		opts.Configs = []string{"Optical4", "Electrical3"}
 	}
 	if len(opts.Patterns) == 0 {
 		opts.Patterns = []string{"Uniform", "BitComp"}
 	}
+	if len(opts.Rates) == 0 {
+		opts.Rates = []float64{0.30, 0.40, 0.50, 0.60, 0.70}
+	}
+	if opts.StaticRate == 0 {
+		opts.StaticRate = defaultStaticRate
+	}
+	if opts.Warmup <= 0 {
+		opts.Warmup = 300
+	}
+	if opts.Measure <= 0 {
+		opts.Measure = 2000
+	}
+	return opts
+}
+
+// Governed runs the sweep and returns all points in a stable (config,
+// pattern, mode, rate) order. Every point builds a fresh network, pattern
+// and governor, so two runs with the same options are bit-identical
+// regardless of worker count. An unknown config or pattern name is an
+// error, returned before any point runs.
+func Governed(opts GovernedOpts) ([]GovernedPoint, error) {
+	opts = opts.Resolved()
 	for _, c := range opts.Configs {
 		if c != "Optical4" && c != "Electrical3" {
 			return nil, fmt.Errorf("unknown config %q (want Optical4 or Electrical3)", c)
@@ -147,18 +168,6 @@ func Governed(opts GovernedOpts) ([]GovernedPoint, error) {
 		if _, err := PatternByName(p, 64, opts.Seed); err != nil {
 			return nil, err
 		}
-	}
-	if len(opts.Rates) == 0 {
-		opts.Rates = []float64{0.30, 0.40, 0.50, 0.60, 0.70}
-	}
-	if opts.StaticRate == 0 {
-		opts.StaticRate = defaultStaticRate
-	}
-	if opts.Warmup == 0 {
-		opts.Warmup = 300
-	}
-	if opts.Measure == 0 {
-		opts.Measure = 2000
 	}
 	type job struct {
 		config  string

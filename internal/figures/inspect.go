@@ -15,10 +15,10 @@ import (
 )
 
 // The inspection path is the single-run deep dive behind cmd/inspect and
-// the -trace-out/-metrics-out/-heatmap flags of cmd/sweep, cmd/reproduce
-// and cmd/compare: it re-runs one (network, pattern, rate) point with the
-// full observability bundle attached and hands back per-node matrices,
-// cycle-windowed time series, and (optionally) a Perfetto event trace.
+// the -trace-out/-metrics-out/-heatmap flags of cmd/reproduce: it re-runs
+// one (network, pattern, rate) point with the full observability bundle
+// attached and hands back per-node matrices, cycle-windowed time series,
+// and (optionally) a Perfetto event trace.
 // Because sweeps are deterministic, a re-run with the same seed observes
 // exactly the simulation the sweep measured - observability costs the
 // parallel grids nothing.
@@ -49,11 +49,8 @@ type InspectOpts struct {
 	// Trace, when non-nil, receives every event - typically
 	// obs.TraceFile.Tracer(pid) with a per-run pid.
 	Trace func(obs.Event)
-	// WhySample, when positive, attaches a provenance tracker sampling
-	// the WhySample slowest packets for the tail-blame report.
-	WhySample int
-	// Prov, when non-nil, is a caller-built tracker (already registered
-	// with telemetry, say) and wins over WhySample.
+	// Prov, when non-nil, attaches a caller-built provenance tracker
+	// (already registered with telemetry, say) for the tail-blame report.
 	Prov *provenance.Tracker
 }
 
@@ -67,8 +64,7 @@ type InspectResult struct {
 	Metrics *obs.Metrics
 	Sampler *obs.Sampler
 	Run     sim.Result
-	// Prov is the provenance tracker when the point asked for one
-	// (WhySample/Prov in InspectOpts); nil otherwise.
+	// Prov is InspectOpts.Prov: the point's provenance tracker, or nil.
 	Prov *provenance.Tracker
 }
 
@@ -80,22 +76,12 @@ func Inspect(o InspectOpts) InspectResult {
 		Trace:   o.Trace,
 	}
 	net := o.Build(o.Seed)
-	res := InspectResult{Name: o.Name, Metrics: c.Metrics, Sampler: c.Sampler}
+	res := InspectResult{Name: o.Name, Metrics: c.Metrics, Sampler: c.Sampler, Prov: o.Prov}
 	_, res.Traced = net.(obs.Traceable)
-	res.Prov = o.Prov
-	if res.Prov == nil && o.WhySample > 0 {
-		pc := provenance.Config{
-			K: o.WhySample, Seed: o.Seed, Width: o.Width, Height: o.Height,
-		}
-		if o.Topo != nil {
-			pc.Label = o.Topo.NodeLabel
-		}
-		res.Prov = provenance.New(pc)
-	}
 	res.Run = sim.RunRate(net, sim.RateConfig{
 		Pattern: o.Pattern, Rate: o.Rate,
 		Warmup: o.Warmup, Measure: o.Measure,
-		Seed: o.Seed, Obs: c, Prov: res.Prov,
+		Seed: o.Seed, Obs: c, Prov: o.Prov,
 	})
 	return res
 }

@@ -5,9 +5,9 @@ import "flag"
 // DefaultTop is the default row cap of blame and slow-packet tables.
 const DefaultTop = 10
 
-// CLI is the shared command-line surface of the provenance layer,
-// mirroring telemetry.CLI: cmd/inspect and cmd/sweep register it, and
-// -why attaches provenance to their deep-dive runs.
+// CLI is the command-line surface of the provenance layer, mirroring
+// telemetry.CLI: cmd/inspect registers it, and -why attaches provenance
+// to its deep-dive runs.
 type CLI struct {
 	// Why is -why: attach provenance and print tail-blame reports.
 	Why bool
