@@ -276,9 +276,6 @@ func New(cfg Config, nodes int) *Governor {
 // Config returns the tuning the governor was built with.
 func (g *Governor) Config() Config { return g.cfg }
 
-// Senders returns the controlled population size.
-func (g *Governor) Senders() int { return len(g.senders) }
-
 // Tick advances the governor to cycle: refills every token bucket and
 // runs the staggered controller updates due this cycle. The harness
 // calls it once per injection cycle, before consulting Allow.

@@ -1,8 +1,7 @@
 // Determinism tests pinning the engine's core guarantee on the real
 // simulators: a (config x rate) grid evaluated with workers=1 and
 // workers=8 must produce byte-identical results, for both the Phastlane
-// optical network and the electrical baseline. These live in an external
-// test package because sim itself builds on exp.
+// optical network and the electrical baseline.
 package exp_test
 
 import (
@@ -108,15 +107,12 @@ func TestGridDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestSweepParallelMatchesSerial includes the stateful UniformRandom
-// pattern: every point builds its own, so under -race the w=8 sweep
-// shares no generator between workers.
+// TestSweepParallelMatchesSerial fans sim.Sweep curves over exp.Run, one
+// curve per worker as figures.Fig9 does, and includes the stateful
+// UniformRandom pattern: every point builds its own, so under -race the
+// w=8 run shares no generator between workers.
 func TestSweepParallelMatchesSerial(t *testing.T) {
-	newNet := func() sim.Network {
-		cfg := core.DefaultConfig()
-		cfg.Seed = 11
-		return core.New(cfg)
-	}
+	hops := []int{4, 5, 8}
 	rates := []float64{0.02, 0.05, 0.10}
 	for _, tc := range []struct {
 		name       string
@@ -126,10 +122,19 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 		{"Uniform", func() traffic.Pattern { return traffic.UniformRandom(64, 11) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			serial := sim.SweepParallel(newNet, tc.newPattern, rates, 11, exp.Options{Workers: 1})
-			parallel := sim.SweepParallel(newNet, tc.newPattern, rates, 11, exp.Options{Workers: 8})
+			curves := func(workers int) [][]sim.SweepPoint {
+				return exp.Run(hops, func(_ int, h int) []sim.SweepPoint {
+					return sim.Sweep(func() sim.Network {
+						cfg := core.DefaultConfig()
+						cfg.MaxHops = h
+						cfg.Seed = 11
+						return core.New(cfg)
+					}, tc.newPattern, rates, sim.RateConfig{Seed: 11})
+				}, exp.Options{Workers: workers})
+			}
+			serial, parallel := curves(1), curves(8)
 			if fmt.Sprintf("%#v", serial) != fmt.Sprintf("%#v", parallel) {
-				t.Errorf("sweep differs across worker counts:\n  workers=1: %#v\n  workers=8: %#v", serial, parallel)
+				t.Errorf("sweeps differ across worker counts:\n  workers=1: %#v\n  workers=8: %#v", serial, parallel)
 			}
 		})
 	}

@@ -8,9 +8,9 @@
 // Determinism is the design centre: experiment functions must derive all
 // randomness from their own point (typically via DeriveSeed of a base seed
 // and the point index), never from shared state or scheduling order. Under
-// that contract, Run and RunUntil yield bit-identical results for any
-// worker count, which the test suite pins down by comparing workers=1
-// against workers=8 runs.
+// that contract, Run yields bit-identical results for any worker count,
+// which the test suite pins down by comparing workers=1 against workers=8
+// runs.
 package exp
 
 import (
@@ -129,62 +129,6 @@ func Run[T, R any](items []T, fn func(i int, item T) R, opt Options) []R {
 
 // poolPanic wraps a worker panic value for transport across goroutines.
 type poolPanic struct{ val any }
-
-// Cut inspects an ordered prefix of results and decides whether the grid
-// can stop early. It returns the number of leading results to keep and
-// whether that cutoff is final; once final, no later item can appear in
-// the output. Cut is always called with a contiguous prefix, exactly as a
-// serial loop would have observed it.
-type Cut[R any] func(prefix []R) (keep int, stop bool)
-
-// RunUntil evaluates fn over items in order with chunked speculative
-// dispatch, honouring an early-exit predicate without giving up
-// determinism. Items are dispatched in chunks of about twice the worker
-// count; after each chunk completes, cut examines the full ordered prefix
-// computed so far. When cut stops, the kept prefix is returned and no
-// further chunks launch. Because every item is evaluated independently,
-// the kept results are bit-identical to a serial loop applying the same
-// predicate — parallelism only risks evaluating a bounded number of
-// points past the cutoff, never changing their values.
-func RunUntil[T, R any](items []T, fn func(i int, item T) R, cut Cut[R], opt Options) []R {
-	if cut == nil {
-		return Run(items, fn, opt)
-	}
-	w := opt.workers()
-	chunk := 2 * w
-	if chunk < 1 {
-		chunk = 1
-	}
-	var results []R
-	var submitted int
-	for start := 0; start < len(items); start += chunk {
-		end := start + chunk
-		if end > len(items) {
-			end = len(items)
-		}
-		sub := opt
-		if opt.Progress != nil {
-			base := submitted
-			sub.Progress = func(done, _ int) {
-				opt.Progress(base+done, len(items))
-			}
-		}
-		results = append(results, Run(items[start:end], func(i int, it T) R {
-			return fn(start+i, it)
-		}, sub)...)
-		submitted = end
-		if keep, stop := cut(results); stop {
-			if keep < 0 {
-				keep = 0
-			}
-			if keep > len(results) {
-				keep = len(results)
-			}
-			return results[:keep]
-		}
-	}
-	return results
-}
 
 // Logger returns a Progress callback that writes "label: done/total
 // (elapsed)" lines to out, rate-limited to one line per interval (plus

@@ -115,90 +115,6 @@ func TestRunPanicPropagates(t *testing.T) {
 	}, Options{Workers: 4})
 }
 
-// serialUntil is the reference semantics RunUntil must reproduce: evaluate
-// in order, consult cut after every point.
-func serialUntil[T, R any](items []T, fn func(int, T) R, cut Cut[R]) []R {
-	var out []R
-	for i, it := range items {
-		out = append(out, fn(i, it))
-		if keep, stop := cut(out); stop {
-			return out[:keep]
-		}
-	}
-	return out
-}
-
-func TestRunUntilMatchesSerial(t *testing.T) {
-	items := make([]int, 40)
-	for i := range items {
-		items[i] = i
-	}
-	fn := func(i, it int) int { return it * 3 }
-	// Stop once two consecutive values exceed 60, keeping both - the
-	// shape of sim.Sweep's saturation exit.
-	cut := func(prefix []int) (int, bool) {
-		run := 0
-		for i, v := range prefix {
-			if v <= 60 {
-				run = 0
-				continue
-			}
-			if run++; run >= 2 {
-				return i + 1, true
-			}
-		}
-		return len(prefix), false
-	}
-	want := serialUntil(items, fn, cut)
-	for _, workers := range []int{1, 3, 8} {
-		got := RunUntil(items, fn, cut, Options{Workers: workers})
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: result[%d] = %d, want %d", workers, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestRunUntilNoStopRunsEverything(t *testing.T) {
-	items := []int{1, 2, 3, 4, 5}
-	got := RunUntil(items, func(_, it int) int { return it }, func(p []int) (int, bool) {
-		return len(p), false
-	}, Options{Workers: 2})
-	if len(got) != len(items) {
-		t.Fatalf("got %d results, want %d", len(got), len(items))
-	}
-}
-
-func TestRunUntilNilCut(t *testing.T) {
-	got := RunUntil([]int{1, 2, 3}, func(_, it int) int { return it }, nil, Options{Workers: 2})
-	if len(got) != 3 {
-		t.Fatalf("nil cut: got %d results, want 3", len(got))
-	}
-}
-
-func TestRunUntilProgressCoversAllPoints(t *testing.T) {
-	items := make([]int, 17)
-	var max, calls int
-	RunUntil(items, func(i, _ int) int { return i }, func(p []int) (int, bool) {
-		return len(p), false
-	}, Options{Workers: 3, Progress: func(done, total int) {
-		calls++
-		if total != 17 {
-			t.Errorf("total = %d, want 17", total)
-		}
-		if done > max {
-			max = done
-		}
-	}})
-	if calls != 17 || max != 17 {
-		t.Fatalf("progress calls=%d max=%d, want 17/17", calls, max)
-	}
-}
-
 func TestLogger(t *testing.T) {
 	var b strings.Builder
 	log := Logger(&b, "grid", time.Hour)

@@ -5,6 +5,7 @@ import (
 	"phastlane/internal/corona"
 	"phastlane/internal/exp"
 	"phastlane/internal/fabsim"
+	"phastlane/internal/photonic"
 	"phastlane/internal/sim"
 	"phastlane/internal/stats"
 	"phastlane/internal/topo"
@@ -96,8 +97,6 @@ type CompareResult struct {
 	// UniformLatency maps injection rate to mean latency; saturated
 	// points are absent.
 	UniformLatency map[float64]float64
-	// SaturationRate is the highest non-saturated swept rate.
-	SaturationRate float64
 	// TraceLatency and TracePowerW come from the coherence replay.
 	TraceLatency float64
 	TracePowerW  float64
@@ -105,7 +104,8 @@ type CompareResult struct {
 }
 
 // Compare runs the synthetic sweep and the coherence-trace round on every
-// architecture.
+// architecture. The uniform-random curve is one sim.Sweep per
+// architecture, with a fresh UniformRandom per point.
 func Compare(opts CompareOpts) ([]CompareResult, error) {
 	if opts.Rates == nil {
 		opts.Rates = []float64{0.02, 0.05, 0.10, 0.20, 0.30}
@@ -123,27 +123,21 @@ func Compare(opts CompareOpts) ([]CompareResult, error) {
 	}
 	results := exp.Run(CompareConfigs(), func(_ int, cfg NetConfig) archOut {
 		res := CompareResult{Config: cfg.Name, UniformLatency: map[float64]float64{}}
-		for _, rate := range opts.Rates {
-			// A fresh UniformRandom per point keeps its RNG private
-			// to this worker and its stream independent of how the
-			// architectures are scheduled.
-			r := sim.RunRate(cfg.Build(opts.Seed), sim.RateConfig{
-				Pattern: traffic.UniformRandom(64, opts.Seed+5),
-				Rate:    rate, Warmup: opts.Warmup, Measure: opts.Measure,
-				Seed: opts.Seed,
-			})
-			if r.Saturated {
-				break
+		pts := sim.Sweep(
+			func() sim.Network { return cfg.Build(opts.Seed) },
+			func() traffic.Pattern { return traffic.UniformRandom(64, opts.Seed+5) },
+			opts.Rates, sim.RateConfig{Warmup: opts.Warmup, Measure: opts.Measure, Seed: opts.Seed})
+		for _, p := range pts {
+			if !p.Saturated {
+				res.UniformLatency[p.Rate] = p.AvgLatency
 			}
-			res.UniformLatency[rate] = r.Run.Latency.Mean()
-			res.SaturationRate = rate
 		}
 		trres, err := sim.RunTrace(cfg.Build(opts.Seed), tr, sim.ReplayConfig{})
 		if err != nil {
 			return archOut{err: err}
 		}
 		res.TraceLatency = trres.Run.Latency.Mean()
-		res.TracePowerW = trres.Run.PowerW(4.0)
+		res.TracePowerW = trres.Run.PowerW(photonic.DefaultClockGHz)
 		res.TraceDrops = trres.Run.Drops
 		return archOut{res: res}
 	}, exp.Options{Workers: opts.Workers, Progress: opts.Progress})

@@ -46,11 +46,10 @@ type Fig9Result struct {
 }
 
 // Fig9 sweeps the four permutation patterns over the Fig. 9
-// configurations. The (pattern x config) curves are independent, so they
-// fan out over the exp worker pool; within a curve, rates run in order so
-// the first-saturated-point early exit wastes no work. Every curve builds
-// fresh networks and patterns, making the output bit-identical for any
-// worker count.
+// configurations. Each (pattern x config) curve is one sim.Sweep, and the
+// curves fan out over the exp worker pool; a sweep builds fresh networks
+// and patterns per point, so the output is bit-identical for any worker
+// count.
 func Fig9(opts Fig9Opts) []Fig9Result {
 	rates := opts.Rates
 	if rates == nil {
@@ -66,24 +65,10 @@ func Fig9(opts Fig9Opts) []Fig9Result {
 		}
 	}
 	curves := exp.Run(jobs, func(_ int, j job) []sim.SweepPoint {
-		// A fresh pattern per curve keeps stateful patterns (none in
-		// the Fig. 9 set today) from sharing RNGs across workers.
-		pattern := traffic.Patterns(64)[j.pi]
-		cfg := configs[j.ci]
-		var pts []sim.SweepPoint
-		for _, rate := range rates {
-			net := cfg.Build(opts.Seed + 1)
-			r := sim.RunRate(net, sim.RateConfig{
-				Pattern: pattern, Rate: rate,
-				Warmup: opts.Warmup, Measure: opts.Measure,
-				Seed: opts.Seed,
-			})
-			pts = append(pts, sim.PointFrom(rate, r, net.Nodes()))
-			if r.Saturated {
-				break // the curve has left the plot
-			}
-		}
-		return pts
+		return sim.Sweep(
+			func() sim.Network { return configs[j.ci].Build(opts.Seed + 1) },
+			func() traffic.Pattern { return traffic.Patterns(64)[j.pi] },
+			rates, sim.RateConfig{Warmup: opts.Warmup, Measure: opts.Measure, Seed: opts.Seed})
 	}, exp.Options{Workers: opts.Workers, Progress: opts.Progress})
 	out := make([]Fig9Result, len(patterns))
 	for ji, j := range jobs {

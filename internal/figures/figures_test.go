@@ -111,6 +111,25 @@ func TestFig9Shape(t *testing.T) {
 	}
 }
 
+// Fig. 9's early exit: every curve keeps its first saturated point and
+// stops there, so the easy rate placed after it never runs.
+func TestFig9StopsAtFirstSaturatedRate(t *testing.T) {
+	res := Fig9(Fig9Opts{Rates: []float64{0.05, 0.45, 0.02}, Warmup: 150, Measure: 500, Seed: 3})
+	curves := 0
+	for _, r := range res {
+		for _, c := range r.Curves {
+			curves++
+			pts := c.Points
+			if len(pts) != 2 || pts[0].Rate != 0.05 || pts[0].Saturated || pts[1].Rate != 0.45 || !pts[1].Saturated {
+				t.Errorf("%s/%s: points %+v, want [0.05 unsaturated, 0.45 saturated]", r.Pattern, c.Config, pts)
+			}
+		}
+	}
+	if curves != 20 {
+		t.Errorf("Fig9 drew %d curves, want 20", curves)
+	}
+}
+
 // A reduced-size end-to-end Fig. 10/11 slice on one light and one bursty
 // benchmark: the headline orderings must hold.
 func TestSplashShape(t *testing.T) {

@@ -60,10 +60,6 @@ func (m *Metrics) Total(k Kind) int64 {
 	return sum
 }
 
-// PerNode returns the per-node vector of one kind (live slice, do not
-// mutate).
-func (m *Metrics) PerNode(k Kind) []int64 { return m.perNode[k] }
-
 // Link returns traversals of the directed link out of node toward d.
 func (m *Metrics) Link(node mesh.NodeID, d mesh.Dir) int64 {
 	return m.link[int(node)*mesh.NumLinkDirs+int(d)]

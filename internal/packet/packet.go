@@ -269,38 +269,6 @@ func (c *Control) String() string {
 	return b.String()
 }
 
-// Packet is a single Phastlane flit. Packets are passed by pointer; the
-// simulator allocates one per logical message and reuses it across
-// retransmissions (updating Control and bookkeeping fields).
-type Packet struct {
-	// ID uniquely identifies the logical message for statistics.
-	ID uint64
-	// Src is the original injecting node; Dst the final destination.
-	// For multicast messages Dst is the last node of the sweep and
-	// MulticastDsts lists every node the message must deliver to.
-	Src, Dst mesh.NodeID
-	// Op is the message type.
-	Op Op
-	// Addr is the cache-line address for coherence traffic (diagnostic).
-	Addr uint64
-	// Control holds the remaining predecoded route, relative to the
-	// router the packet is about to enter.
-	Control Control
-	// Multicast route metadata: destinations not yet served. Nil for
-	// unicast packets.
-	MulticastDsts []mesh.NodeID
-	// InjectCycle is when the message first entered a NIC queue;
-	// LaunchCycle is when the current transmission attempt launched.
-	InjectCycle, LaunchCycle int64
-	// Hops accumulates link traversals across all attempts (for power).
-	Hops int
-	// Retries counts drop-triggered retransmissions.
-	Retries int
-	// Dep, if non-zero, is the ID of the message that must be delivered
-	// before this one may be injected (trace replay dependency).
-	Dep uint64
-}
-
 // DirAfterTurn applies the turn encoded by g to a packet travelling in
 // direction travel and returns the new travel direction, or Local when the
 // group ejects.

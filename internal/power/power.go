@@ -139,15 +139,6 @@ func multicastRetention(maxHops int) float64 {
 	return r
 }
 
-// TransmitPJ selects the worst-case per-launch laser energy by packet
-// kind: what the laser must be provisioned for.
-func (o Optical) TransmitPJ(multicast bool) float64 {
-	if multicast {
-		return o.TransmitMulticastPJ
-	}
-	return o.TransmitUnicastPJ
-}
-
 // TransmitSegmentPJ is the laser energy actually spent by one transmission
 // covering the given number of links with the given number of intermediate
 // multicast taps: the injected power must overcome the crossing losses of

@@ -119,7 +119,7 @@ func TestSweepPercentiles(t *testing.T) {
 		cfg := core.DefaultConfig()
 		cfg.Seed = 7
 		return core.New(cfg)
-	}, transpose64, []float64{0.05}, 7)
+	}, transpose64, []float64{0.05}, sim.RateConfig{Seed: 7})
 	if len(pts) != 1 {
 		t.Fatalf("points = %d", len(pts))
 	}

@@ -10,7 +10,6 @@ import (
 	"slices"
 
 	"phastlane/internal/cc"
-	"phastlane/internal/exp"
 	"phastlane/internal/mesh"
 	"phastlane/internal/obs"
 	"phastlane/internal/packet"
@@ -713,18 +712,9 @@ func (h *readyHeap) pop() readyItem {
 }
 
 // SweepPoint is one (rate, latency) sample of a saturation sweep.
-//
-// Early-exit contract: Sweep stops appending points once two consecutive
-// points report Saturated, so a sweep's point slice is a prefix of its
-// rate grid ending at most one point past the second consecutive
-// saturated sample. Saturated itself is set by RunRate from either
-// symptom of overload — the network failed to drain within DrainLimit, or
-// accepted throughput fell below 90% of the offered load. Rates beyond
-// the early exit are never simulated and thus never appear in the slice;
-// SaturationRate consequently reports the highest non-saturated rate
-// among the points actually run, which is the intended reading (a
-// higher-rate point after two consecutive saturated ones could not be
-// non-saturated in any meaningful sense).
+// Saturated is RunRate's verdict on the point: the network failed to drain
+// within DrainLimit, or accepted throughput fell below 90% of the offered
+// load. Only the last point of a Sweep can be saturated.
 type SweepPoint struct {
 	Rate       float64
 	AvgLatency float64
@@ -735,9 +725,9 @@ type SweepPoint struct {
 	P50, P95, P99 float64
 }
 
-// PointFrom summarises one RunRate result as a sweep point, filling the
+// pointFrom summarises one RunRate result as a sweep point, filling the
 // latency percentiles alongside the mean.
-func PointFrom(rate float64, r Result, nodes int) SweepPoint {
+func pointFrom(rate float64, r Result, nodes int) SweepPoint {
 	return SweepPoint{
 		Rate:       rate,
 		AvgLatency: r.Run.Latency.Mean(),
@@ -749,60 +739,23 @@ func PointFrom(rate float64, r Result, nodes int) SweepPoint {
 	}
 }
 
-// sweepCut is the early-exit predicate shared by the serial and parallel
-// sweeps: keep points up to and including the second of two consecutive
-// saturated ones, then stop.
-func sweepCut(prefix []SweepPoint) (int, bool) {
-	run := 0
-	for i, p := range prefix {
-		if !p.Saturated {
-			run = 0
-			continue
-		}
-		run++
-		if run >= 2 {
-			return i + 1, true
-		}
-	}
-	return len(prefix), false
-}
-
-// Sweep runs RunRate over the given rates on a worker pool sized to
-// runtime.GOMAXPROCS, stopping early once two consecutive points saturate
-// (see SweepPoint for the exact contract). newNet and newPattern must
-// build a fresh network and pattern per point; every point runs on its
-// own instances with the same base seed, so results are bit-identical to
-// a serial sweep regardless of scheduling.
-func Sweep(newNet func() Network, newPattern func() traffic.Pattern, rates []float64, seed int64) []SweepPoint {
-	return SweepParallel(newNet, newPattern, rates, seed, exp.Options{})
-}
-
-// SweepParallel is Sweep with explicit engine options (worker count,
-// progress callback). The early exit is honoured via chunked speculative
-// dispatch: points past the cutoff may be evaluated and discarded, but
-// the returned slice is exactly what the serial sweep produces.
-func SweepParallel(newNet func() Network, newPattern func() traffic.Pattern, rates []float64, seed int64, opt exp.Options) []SweepPoint {
-	pts := exp.RunUntil(rates, func(_ int, rate float64) SweepPoint {
+// Sweep draws one latency curve: it runs RunRate at each rate in order,
+// on a fresh network from newNet and a fresh pattern from newPattern per
+// point, and stops after the first saturated point, which it keeps. Rates
+// past that point never run, so the curve is a prefix of rates. cfg
+// supplies Warmup, Measure, DrainLimit and Seed, shared by every point;
+// Sweep sets Pattern and Rate. cfg must carry no hooks (Obs, Telemetry,
+// Prov, CC): each binds to one run, and a sweep is many.
+func Sweep(newNet func() Network, newPattern func() traffic.Pattern, rates []float64, cfg RateConfig) []SweepPoint {
+	var pts []SweepPoint
+	for _, rate := range rates {
 		net := newNet()
-		r := RunRate(net, RateConfig{Pattern: newPattern(), Rate: rate, Seed: seed})
-		return PointFrom(rate, r, net.Nodes())
-	}, sweepCut, opt)
-	if len(pts) == 0 {
-		return nil
+		cfg.Pattern, cfg.Rate = newPattern(), rate
+		r := RunRate(net, cfg)
+		pts = append(pts, pointFrom(rate, r, net.Nodes()))
+		if r.Saturated {
+			break // the curve has left the plot
+		}
 	}
 	return pts
-}
-
-// SaturationRate returns the highest non-saturated rate of a sweep, or 0.
-// It only sees the points Sweep actually ran: after the two-consecutive-
-// saturated early exit, higher rates are absent from pts by construction
-// (see SweepPoint), not silently treated as unsaturated.
-func SaturationRate(pts []SweepPoint) float64 {
-	best := 0.0
-	for _, p := range pts {
-		if !p.Saturated && p.Rate > best {
-			best = p.Rate
-		}
-	}
-	return best
 }

@@ -69,16 +69,12 @@ func TestSweepFindsKnee(t *testing.T) {
 		cfg := core.DefaultConfig()
 		cfg.Seed = 7
 		return core.New(cfg)
-	}, transpose64, rates, 7)
+	}, transpose64, rates, sim.RateConfig{Seed: 7})
 	if len(pts) < 2 {
 		t.Fatalf("sweep returned %d points", len(pts))
 	}
 	if pts[0].Saturated {
 		t.Error("lowest rate saturated")
-	}
-	sat := sim.SaturationRate(pts)
-	if sat <= 0 {
-		t.Error("no non-saturated rate found")
 	}
 	// Latency is non-decreasing from the first to the last
 	// non-saturated point, roughly.

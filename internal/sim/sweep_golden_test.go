@@ -10,14 +10,10 @@ import (
 	"phastlane/internal/traffic"
 )
 
-// The golden values below were captured from the serial, pre-engine
-// sim.Sweep (commit 030f018) on transpose traffic, seed 7, rates
-// {0.05, 0.10, 0.20, 0.30, 0.40, 0.45}. They pin two contracts at once:
-// the simulators' numeric behaviour is unchanged by the parallel
-// experiment engine, and the two-consecutive-saturated early exit still
-// stops the sweep before the 0.45 point (five points, not six).
-var goldenRates = []float64{0.05, 0.10, 0.20, 0.30, 0.40, 0.45}
-
+// goldenOptical and goldenElectrical were captured from the serial,
+// pre-engine sim.Sweep (commit 030f018) on transpose traffic, seed 7,
+// default warmup and measure. They pin the simulators' numeric behaviour
+// from idle to past the knee.
 var goldenOptical = []sim.SweepPoint{
 	{Rate: 0.05, AvgLatency: 1.946569683908046, Throughput: 0.0435, Saturated: false},
 	{Rate: 0.1, AvgLatency: 2.2867151711129075, Throughput: 0.0869765625, Saturated: false},
@@ -62,7 +58,13 @@ func TestSweepMatchesPreRefactorGolden(t *testing.T) {
 		{"electrical", goldenElectricalNet, goldenElectrical},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got := sim.Sweep(tc.newNet, transpose64, goldenRates, 7)
+			// Each rate runs as a one-point sweep, so the 0.40 point
+			// stays pinned though a sweep over all five would stop at
+			// the saturated 0.30.
+			var got []sim.SweepPoint
+			for _, w := range tc.want {
+				got = append(got, sim.Sweep(tc.newNet, transpose64, []float64{w.Rate}, sim.RateConfig{Seed: 7})...)
+			}
 			// Project onto the fields the golden capture predates:
 			// the later-added latency percentiles are checked for
 			// internal consistency below, not against the capture.
@@ -86,11 +88,9 @@ func TestSweepMatchesPreRefactorGolden(t *testing.T) {
 	}
 }
 
-// TestSweepEarlyExitContract pins the early-exit behaviour documented on
-// SweepPoint: the sweep stops after two consecutive saturated points, so
-// later rates are never simulated - and SaturationRate only considers the
-// points actually run, even when a later (never-run) rate would have been
-// unsaturated. The rate grid deliberately places easy rates after the
+// TestSweepEarlyExitContract pins the early exit documented on Sweep: the
+// sweep keeps the first saturated point and stops, so later rates are
+// never simulated. The rate grid deliberately places easy rates after the
 // saturating ones to prove they are skipped.
 func TestSweepEarlyExitContract(t *testing.T) {
 	rates := []float64{0.01, 0.9, 1.0, 0.02, 0.05}
@@ -98,19 +98,16 @@ func TestSweepEarlyExitContract(t *testing.T) {
 		cfg := core.DefaultConfig()
 		cfg.Seed = 7
 		return core.New(cfg)
-	}, transpose64, rates, 7)
-	if len(pts) != 3 {
-		t.Fatalf("sweep ran %d points, want 3 (early exit after two consecutive saturated)", len(pts))
+	}, transpose64, rates, sim.RateConfig{Seed: 7})
+	if len(pts) != 2 {
+		t.Fatalf("sweep ran %d points, want 2 (early exit after the first saturated)", len(pts))
 	}
-	if pts[0].Saturated || !pts[1].Saturated || !pts[2].Saturated {
+	if pts[0].Saturated || !pts[1].Saturated {
 		t.Fatalf("unexpected saturation pattern: %+v", pts)
 	}
-	for i, want := range []float64{0.01, 0.9, 1.0} {
+	for i, want := range []float64{0.01, 0.9} {
 		if pts[i].Rate != want {
 			t.Errorf("point %d rate %v, want %v", i, pts[i].Rate, want)
 		}
-	}
-	if sat := sim.SaturationRate(pts); sat != 0.01 {
-		t.Errorf("SaturationRate = %v, want 0.01: rates beyond the early exit must not count", sat)
 	}
 }

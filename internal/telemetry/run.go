@@ -150,25 +150,9 @@ func (t *Run) Flush(s FlushStats) {
 		fail("network-invariant", s.InvariantErr.Error())
 	}
 
-	needMem := t.Recorder != nil || t.Watchdog.AllocBudget > 0
-	var mem runtime.MemStats
-	if needMem {
-		runtime.ReadMemStats(&mem)
-	}
-	if b := t.Watchdog.AllocBudget; b > 0 && t.Recorder != nil {
-		// The recorder's malloc bookkeeping provides the window delta;
-		// the budget check rides on the next record's rate, computed
-		// below by Write. Pre-check with the recorder's last counters.
-		if t.Recorder.haveLast && mem.Mallocs >= t.Recorder.lastMallocs {
-			if dc := s.Cycle - t.Recorder.lastCycle; dc > 0 {
-				rate := float64(mem.Mallocs-t.Recorder.lastMallocs) / float64(dc)
-				if rate > b {
-					fail("alloc-budget", fmt.Sprintf("%.3f allocs/cycle over budget %.3f", rate, b))
-				}
-			}
-		}
-	}
 	if t.Recorder != nil {
+		var mem runtime.MemStats
+		runtime.ReadMemStats(&mem)
 		typ := "sample"
 		if trip != "" {
 			typ = "watchdog"

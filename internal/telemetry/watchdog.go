@@ -23,19 +23,13 @@ func (t Trip) String() string {
 // multi-billion-cycle run into an immediate, diagnosable stop.
 //
 // Checks: message conservation (delivered + lost + in-flight ==
-// injected), the network's own structural invariants (busy ⇒ in the
-// active set, live-parcel accounting; see InvariantChecker), and
-// an allocation budget (allocs/cycle between flushes; 0 disables — an
-// HTTP scrape allocates on another goroutine, so the budget must
-// tolerate serving traffic).
+// injected) and the network's own structural invariants (busy ⇒ in the
+// active set, live-parcel accounting; see InvariantChecker).
 type Watchdog struct {
 	// Abort panics on the first trip when set.
 	Abort bool
 	// OnTrip, when non-nil, is called synchronously for every trip.
 	OnTrip func(Trip)
-	// AllocBudget is the tolerated allocations per cycle between
-	// flushes; 0 disables the check.
-	AllocBudget float64
 
 	mu    sync.Mutex
 	trips []Trip
