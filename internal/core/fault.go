@@ -196,6 +196,9 @@ func (n *Network) watchdogScan() {
 				q.items[i] = nil
 			}
 			q.items = q.items[:w]
+			if w == 0 {
+				r.occ &^= 1 << d
+			}
 		}
 	}
 }

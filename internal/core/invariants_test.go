@@ -71,6 +71,55 @@ func TestCheckInvariantsDetectsBusyRouterOutsideActiveSet(t *testing.T) {
 	}
 }
 
+// TestCheckInvariantsDetectsQueueMaskDrift plants one error at a time in
+// the launch stage's bookkeeping and asserts the audit notices each: a
+// stray occupancy bit (launch would visit an empty queue), a missing one
+// (launch would never offer that queue's parcels), and a reserved-slot
+// count one off either way (a slot freed twice or never). After one
+// cycle, router 3's packet to node 9 has launched from the NIC and been
+// delivered, its record holding one NIC slot until the drop window; the
+// packet to node 10 needs the same output port and is still queued.
+func TestCheckInvariantsDetectsQueueMaskDrift(t *testing.T) {
+	n := New(DefaultConfig())
+	n.Inject(sim.Message{ID: 1, Src: 3, Dsts: []mesh.NodeID{9}, Op: packet.OpSynthetic})
+	n.Inject(sim.Message{ID: 2, Src: 3, Dsts: []mesh.NodeID{10}, Op: packet.OpSynthetic})
+	n.Step(nil)
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatalf("after one cycle: %v", err)
+	}
+	r := &n.routers[3]
+	if r.occ != 1<<mesh.Local || len(n.pending) != 1 || r.queues[mesh.Local].reserved != 1 {
+		t.Fatalf("unexpected start: occ %#b, %d pending, %d NIC slots reserved",
+			r.occ, len(n.pending), r.queues[mesh.Local].reserved)
+	}
+	for _, c := range []struct {
+		name string
+		occ  uint8   // flipped in router 3's occupancy mask
+		q    *pqueue // its reserved count moves by off
+		off  int
+	}{
+		{name: "stray occupancy bit", occ: 1 << mesh.North},
+		{name: "missing occupancy bit", occ: 1 << mesh.Local},
+		{name: "reserved slot too many", q: &n.routers[40].queues[mesh.East], off: 1},
+		{name: "reserved slot too few", q: &r.queues[mesh.Local], off: -1},
+	} {
+		r.occ ^= c.occ
+		if c.q != nil {
+			c.q.reserved += c.off
+		}
+		if err := n.CheckInvariants(); err == nil {
+			t.Errorf("%s: not detected", c.name)
+		}
+		r.occ ^= c.occ
+		if c.q != nil {
+			c.q.reserved -= c.off
+		}
+	}
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatalf("after restoring every count: %v", err)
+	}
+}
+
 // TestActiveRoutersTracksLoad checks the active-set size report: zero on
 // an idle network, within [1, nodes] while parcels are queued, back to
 // zero once the network drains (launch clears each router it leaves

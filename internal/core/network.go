@@ -64,12 +64,14 @@ const (
 )
 
 // launchRecord remembers a transmission so the owner's buffer slot can be
-// released (or the parcel requeued) one cycle later.
+// released (or the parcel requeued) one cycle later. q is the owner's
+// queue on port.
 type launchRecord struct {
 	p       *parcel
 	q       *pqueue
 	control packet.Control // pre-launch control, restored on drop
 	launch  mesh.Dir
+	port    mesh.Dir
 	result  outcome
 }
 
@@ -104,34 +106,37 @@ func (q *pqueue) headEligible(cycle int64) *parcel {
 	return nil
 }
 
-// take removes p from the queue and reserves its slot for the drop window.
-func (q *pqueue) take(p *parcel) {
-	for i, it := range q.items {
-		if it == p {
-			q.items = append(q.items[:i], q.items[i+1:]...)
-			q.reserved++
-			return
-		}
-	}
-	panic("core: take of parcel not in queue")
-}
-
 // router holds the five electrical buffers (N, E, S, W input ports plus the
 // local NIC). Its rotating-priority launch pointer is derived from the
 // cycle (rotation), so an idle router has no state to advance.
 type router struct {
 	queues [mesh.NumDirs]pqueue
+	// occ has bit d set while queues[d] holds a parcel: push sets it,
+	// take and the watchdog's compaction clear it (DESIGN.md §10).
+	occ uint8
 }
 
 // busy reports whether the router holds a parcel in any buffer: the only
 // state launch acts on.
-func (r *router) busy() bool {
-	for d := range r.queues {
-		if len(r.queues[d].items) > 0 {
-			return true
-		}
+func (r *router) busy() bool { return r.occ != 0 }
+
+// push appends p to the queue on port d.
+func (r *router) push(d mesh.Dir, p *parcel) {
+	r.queues[d].items = append(r.queues[d].items, p)
+	r.occ |= 1 << d
+}
+
+// take removes the parcel at index i of the queue on port d, reserving
+// its slot for the drop window, and returns it.
+func (r *router) take(d mesh.Dir, i int) *parcel {
+	q := &r.queues[d]
+	p := q.items[i]
+	q.items = append(q.items[:i], q.items[i+1:]...)
+	q.reserved++
+	if len(q.items) == 0 {
+		r.occ &^= 1 << d
 	}
-	return false
+	return p
 }
 
 // Network is the Phastlane simulator. Create with New; drive with Inject
@@ -353,7 +358,6 @@ func (n *Network) Quiescent() bool { return n.live == 0 }
 // or the destination set is neither unicast nor full broadcast. The
 // message's Dsts slice is not retained.
 func (n *Network) Inject(m sim.Message) {
-	nic := &n.routers[m.Src].queues[mesh.Local]
 	if free := n.NICFree(m.Src); free <= 0 {
 		panic(fmt.Sprintf("core: inject into full NIC at node %d (%d free entries; check NICFree before Inject)", m.Src, free))
 	}
@@ -364,12 +368,12 @@ func (n *Network) Inject(m sim.Message) {
 		if m.Dsts[0] == m.Src {
 			panic("core: self-directed message")
 		}
-		n.enqueueUnicast(nic, m, m.Dsts[0])
+		n.enqueueUnicast(m, m.Dsts[0])
 	case len(m.Dsts) == n.m.Nodes()-1:
 		if n.cfg.UnicastBroadcast {
 			// Ablation: a broadcast as 63 independent unicasts.
 			for _, dst := range m.Dsts {
-				n.enqueueUnicast(nic, m, dst)
+				n.enqueueUnicast(m, dst)
 			}
 			return
 		}
@@ -389,7 +393,7 @@ func (n *Network) Inject(m sim.Message) {
 			p.multicast = true
 			p.born = n.cycle
 			p.eligibleAt, p.enqueuedAt = n.cycle, n.cycle
-			nic.items = append(nic.items, p)
+			n.routers[m.Src].push(mesh.Local, p)
 			n.live++
 		}
 		n.active.Add(m.Src)
@@ -400,7 +404,7 @@ func (n *Network) Inject(m sim.Message) {
 
 // enqueueUnicast builds one unicast parcel from the free list and queues
 // it on the source NIC.
-func (n *Network) enqueueUnicast(nic *pqueue, m sim.Message, dst mesh.NodeID) {
+func (n *Network) enqueueUnicast(m sim.Message, dst mesh.NodeID) {
 	ctl, launch := n.enc.EncodeControl(m.Src, dst)
 	ctl.MarkInterims(n.cfg.MaxHops)
 	p := n.getParcel()
@@ -409,7 +413,7 @@ func (n *Network) enqueueUnicast(nic *pqueue, m sim.Message, dst mesh.NodeID) {
 	p.control, p.launch, p.routed = ctl, launch, true
 	p.born = n.cycle
 	p.eligibleAt, p.enqueuedAt = n.cycle, n.cycle
-	nic.items = append(nic.items, p)
+	n.routers[m.Src].push(mesh.Local, p)
 	n.live++
 	n.active.Add(m.Src)
 }
@@ -448,21 +452,36 @@ func (n *Network) SetPhases(p *telemetry.Phases) { n.phases = p }
 // launch stage's active set (every router, on NewReference).
 func (n *Network) ActiveRouters() int { return n.active.Len() }
 
-// CheckInvariants audits the active set and live-parcel conservation:
-// every busy router is an active-set member, and every live parcel is
-// either queued in some router buffer or held by a pending launch record
-// whose drop signal has not yet been resolved. Meant for watchdog flush
-// boundaries (between Steps), never the per-cycle path.
+// CheckInvariants audits the occupancy masks, the active set, reserved
+// slots and live-parcel conservation: each router's occ bit d is set
+// exactly when queue d holds a parcel, every busy router is an active-set
+// member, the slots reserved across all queues number the pending launch
+// records, and every live parcel is either queued in some router buffer
+// or held by a pending launch record whose drop signal has not yet been
+// resolved. Meant for watchdog flush boundaries (between Steps), never the
+// per-cycle path.
 func (n *Network) CheckInvariants() error {
-	queued := 0
+	queued, reserved := 0, 0
 	for i := range n.routers {
 		r := &n.routers[i]
+		var occ uint8
+		for d := range r.queues {
+			q := &r.queues[d]
+			if len(q.items) > 0 {
+				occ |= 1 << d
+			}
+			queued += len(q.items)
+			reserved += q.reserved
+		}
+		if r.occ != occ {
+			return fmt.Errorf("core: router %d occupancy mask %05b, but its non-empty queues are %05b", i, r.occ, occ)
+		}
 		if r.busy() && !n.active.Has(mesh.NodeID(i)) {
 			return fmt.Errorf("core: router %d busy but not in the active set", i)
 		}
-		for d := range r.queues {
-			queued += len(r.queues[d].items)
-		}
+	}
+	if reserved != len(n.pending) {
+		return fmt.Errorf("core: %d reserved buffer slots for %d pending launches", reserved, len(n.pending))
 	}
 	dropped := 0
 	for _, rec := range n.pending {
@@ -514,9 +533,9 @@ func (n *Network) resolveDropWindow() {
 				p.launch = rec.launch
 			}
 			p.eligibleAt = n.cycle + 1 + n.backoff(p.retries)
-			rec.q.items = append(rec.q.items, p)
 			// A drop leaves the parcel with the router that
 			// launched it.
+			n.routers[p.owner].push(rec.port, p)
 			n.active.Add(p.owner)
 			n.emit(EventRetry, p.msgID, p.owner, p.launch)
 		default:
@@ -552,6 +571,13 @@ func (n *Network) backoff(retries int) int64 {
 // so a single busy queue (e.g. a NIC holding a 16-sweep broadcast) can use
 // several output ports in one cycle without starving the others.
 //
+// The rounds visit only the queues in live, which starts as the router's
+// occupancy mask. A queue leaves live when it empties or yields no
+// candidate: every parcel it still holds is then ineligible this cycle or
+// marked skipAt, and nothing joins a queue during launch, so a later round
+// would pass over it with no side effect: the grants, in order, are those
+// of rounds that offer every queue.
+//
 // It walks the active set in ascending node order, the dense loop's order,
 // and clears each member it leaves idle. An idle router launches nothing,
 // and its rotating pointer is a function of the cycle (rotation), so not
@@ -559,28 +585,41 @@ func (n *Network) backoff(retries int) int64 {
 func (n *Network) launch() []*flight {
 	flights := n.flights[:0]
 	n.launchNodes = n.active.Members(n.launchNodes[:0])
+	// Without a fault plan no router is ever stuck, so every rotating
+	// pointer is the cycle modulo the queue count.
+	rotate := int(n.cycle % mesh.NumDirs)
 	for _, node := range n.launchNodes {
-		if n.faults != nil && n.faults.NodeStuck(n.cycle, node) {
-			continue
+		if n.faults != nil {
+			if n.faults.NodeStuck(n.cycle, node) {
+				continue
+			}
+			rotate = n.rotation(node)
 		}
 		r := &n.routers[node]
-		var granted [mesh.NumLinkDirs]bool
+		var granted uint8 // bit d: output port d is taken
 		grants := 0
-		order := n.queueOrder(r, node)
-		for round := 0; round < mesh.NumLinkDirs && grants < mesh.NumLinkDirs; round++ {
-			progressed := false
-			for k := 0; k < mesh.NumDirs && grants < mesh.NumLinkDirs; k++ {
-				q := &r.queues[order[k]]
-				p := n.launchCandidate(q, granted[:])
-				if p == nil {
+		order := rotations[rotate]
+		if n.cfg.Arbiter != ArbRotating {
+			order = n.queueOrder(r)
+		}
+		for live := r.occ; live != 0 && grants < mesh.NumLinkDirs; {
+			for _, d := range order {
+				if live&(1<<d) == 0 {
 					continue
 				}
-				granted[p.launch] = true
+				q := &r.queues[d]
+				i := n.launchCandidate(q, granted)
+				if i < 0 {
+					live &^= 1 << d
+					continue
+				}
+				p := r.take(d, i)
+				live &= r.occ // a queue that empties leaves live
+				granted |= 1 << p.launch
 				grants++
-				progressed = true
-				q.take(p)
-				rec := launchRecord{p: p, q: q, control: p.control, launch: p.launch, result: outcomePending}
-				n.pending = append(n.pending, rec)
+				n.pending = append(n.pending, launchRecord{
+					p: p, q: q, control: p.control, launch: p.launch, port: d, result: outcomePending,
+				})
 				f := n.getFlight()
 				f.p, f.rec = p, len(n.pending)-1
 				f.at, f.travel = node, p.launch
@@ -595,9 +634,9 @@ func (n *Network) launch() []*flight {
 				links, taps := p.control.Segment()
 				n.run.OpticalEnergyPJ += n.segmentPJ[links][taps]
 				n.run.ElectricalEnergyPJ += n.energy.ModulatePJ + n.energy.BufferReadPJ
-			}
-			if !progressed {
-				break
+				if grants == mesh.NumLinkDirs {
+					break
+				}
 			}
 		}
 		if !r.busy() {
@@ -615,10 +654,20 @@ func (n *Network) rotation(node mesh.NodeID) int {
 	return int((n.cycle - n.faults.StuckCycles(n.cycle, node)) % mesh.NumDirs)
 }
 
-// queueOrder returns the order in which router r's five queues (at node)
-// are offered grants this cycle, per the configured relaunch arbiter.
-func (n *Network) queueOrder(r *router, node mesh.NodeID) [mesh.NumDirs]int {
-	var order [mesh.NumDirs]int
+// rotations[k] is the order in which the rotating arbiter offers the
+// queues grants when its pointer is at queue k.
+var rotations = [mesh.NumDirs][mesh.NumDirs]mesh.Dir{
+	{0, 1, 2, 3, 4},
+	{1, 2, 3, 4, 0},
+	{2, 3, 4, 0, 1},
+	{3, 4, 0, 1, 2},
+	{4, 0, 1, 2, 3},
+}
+
+// queueOrder returns the order in which router r's five queues are offered
+// grants this cycle under the oldest-first or longest-queue arbiter.
+func (n *Network) queueOrder(r *router) [mesh.NumDirs]mesh.Dir {
+	order := rotations[0]
 	switch n.cfg.Arbiter {
 	case ArbOldestFirst:
 		// Queues whose oldest eligible parcel has waited longest go
@@ -627,7 +676,6 @@ func (n *Network) queueOrder(r *router, node mesh.NodeID) [mesh.NumDirs]int {
 		// sort.SliceStable, without its per-cycle allocations.
 		var ages [mesh.NumDirs]int64
 		for i := 0; i < mesh.NumDirs; i++ {
-			order[i] = i
 			ages[i] = -1 << 62
 			if p := r.queues[i].headEligible(n.cycle); p != nil {
 				ages[i] = n.cycle - p.enqueuedAt
@@ -638,10 +686,9 @@ func (n *Network) queueOrder(r *router, node mesh.NodeID) [mesh.NumDirs]int {
 				order[j], order[j-1] = order[j-1], order[j]
 			}
 		}
-	case ArbLongestQueue:
+	default: // ArbLongestQueue
 		var occ [mesh.NumDirs]int
 		for i := 0; i < mesh.NumDirs; i++ {
-			order[i] = i
 			occ[i] = len(r.queues[i].items)
 		}
 		for i := 1; i < mesh.NumDirs; i++ {
@@ -649,21 +696,17 @@ func (n *Network) queueOrder(r *router, node mesh.NodeID) [mesh.NumDirs]int {
 				order[j], order[j-1] = order[j-1], order[j]
 			}
 		}
-	default: // ArbRotating
-		rotate := n.rotation(node)
-		for i := 0; i < mesh.NumDirs; i++ {
-			order[i] = (rotate + i) % mesh.NumDirs
-		}
 	}
 	return order
 }
 
-// launchCandidate returns the first eligible parcel of q whose output port
-// is still free, or nil. Parcels whose port is taken are marked (skipAt)
-// so later rounds do not re-resegment them; the mark is the current cycle,
-// so it expires on its own without per-cycle bookkeeping.
-func (n *Network) launchCandidate(q *pqueue, granted []bool) *parcel {
-	for _, p := range q.items {
+// launchCandidate returns the index in q of the first eligible parcel
+// whose output port is not in granted, or -1. Parcels whose port is taken
+// are marked (skipAt) so later rounds do not re-resegment them; the mark
+// is the current cycle, so it expires on its own without per-cycle
+// bookkeeping.
+func (n *Network) launchCandidate(q *pqueue, granted uint8) int {
+	for i, p := range q.items {
 		if p.eligibleAt > n.cycle || p.skipAt == n.cycle {
 			continue
 		}
@@ -679,13 +722,13 @@ func (n *Network) launchCandidate(q *pqueue, granted []bool) *parcel {
 		if p.launch == mesh.Local {
 			panic("core: parcel launches toward its own node")
 		}
-		if granted[p.launch] {
+		if granted&(1<<p.launch) != 0 {
 			p.skipAt = n.cycle
 			continue
 		}
-		return p
+		return i
 	}
-	return nil
+	return -1
 }
 
 // resegment rebuilds the parcel's remaining route from its current owner,

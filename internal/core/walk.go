@@ -181,8 +181,8 @@ func (n *Network) finish(f *flight) {
 // drop signal back along the return path to the current owner.
 func (n *Network) receiveOrDrop(f *flight, relaunch mesh.Dir) {
 	port := f.travel.Opposite()
-	q := &n.routers[f.at].queues[port]
-	free := q.free()
+	r := &n.routers[f.at]
+	free := r.queues[port].free()
 	if n.faults != nil {
 		if free -= n.faults.LostSlots(n.cycle, f.at, port); free < 0 {
 			free = 0
@@ -196,7 +196,7 @@ func (n *Network) receiveOrDrop(f *flight, relaunch mesh.Dir) {
 		p.routed = false
 		p.eligibleAt = n.cycle + 1
 		p.enqueuedAt = n.cycle
-		q.items = append(q.items, p)
+		r.push(port, p)
 		n.active.Add(f.at)
 		n.pending[f.rec].result = outcomeSafe
 		n.run.BufferedPackets++

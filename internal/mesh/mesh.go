@@ -49,20 +49,14 @@ func (d Dir) String() string {
 }
 
 // Opposite returns the direction a packet arriving from d travels toward,
-// i.e. the port on the neighbouring router that faces this one.
+// i.e. the port on the neighbouring router that faces this one; Local for
+// Local and for any value that is not a link direction. The compass order
+// N, E, S, W puts a link direction's opposite two steps on: bit 1 flipped.
 func (d Dir) Opposite() Dir {
-	switch d {
-	case North:
-		return South
-	case South:
-		return North
-	case East:
-		return West
-	case West:
-		return East
-	default:
+	if uint(d) >= NumLinkDirs {
 		return Local
 	}
+	return d ^ 2
 }
 
 // Turn describes how a packet moves through a router relative to its input
@@ -174,31 +168,35 @@ func (m *Mesh) Coord(id NodeID) Coord {
 // ID returns the node at coordinate c.
 func (m *Mesh) ID(c Coord) NodeID { return NodeID(c.Y*m.width + c.X) }
 
-// Contains reports whether c lies inside the mesh.
-func (m *Mesh) Contains(c Coord) bool {
-	return c.X >= 0 && c.X < m.width && c.Y >= 0 && c.Y < m.height
-}
-
-// Neighbor returns the node adjacent to id in direction d and true, or an
-// undefined node and false at a mesh edge.
+// Neighbor returns the node adjacent to id in direction d and true. It
+// returns 0 and false at a mesh edge, for an id outside [0, Nodes()), and
+// for a direction that is not a link (Local or out of range). It steps on
+// the row-major id directly: a row is width ids, so only an East or West
+// step needs the column, one modulo.
 func (m *Mesh) Neighbor(id NodeID, d Dir) (NodeID, bool) {
-	c := m.Coord(id)
+	nodes := m.width * m.height
+	if uint(id) >= uint(nodes) {
+		return 0, false
+	}
 	switch d {
 	case North:
-		c.Y++
+		if next := id + NodeID(m.width); int(next) < nodes {
+			return next, true
+		}
 	case South:
-		c.Y--
+		if next := id - NodeID(m.width); next >= 0 {
+			return next, true
+		}
 	case East:
-		c.X++
+		if int(id)%m.width != m.width-1 {
+			return id + 1, true
+		}
 	case West:
-		c.X--
-	default:
-		return 0, false
+		if int(id)%m.width != 0 {
+			return id - 1, true
+		}
 	}
-	if !m.Contains(c) {
-		return 0, false
-	}
-	return m.ID(c), true
+	return 0, false
 }
 
 // HopDistance returns the Manhattan distance between two nodes, which equals

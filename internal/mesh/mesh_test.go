@@ -13,8 +13,8 @@ func TestCoordRoundTrip(t *testing.T) {
 		if got := m.ID(c); got != id {
 			t.Errorf("ID(Coord(%d)) = %d", id, got)
 		}
-		if !m.Contains(c) {
-			t.Errorf("Contains(%v) = false for in-mesh node", c)
+		if c.X < 0 || c.X >= 8 || c.Y < 0 || c.Y >= 8 {
+			t.Errorf("Coord(%d) = %v outside the 8x8 mesh", id, c)
 		}
 	}
 }
@@ -64,15 +64,72 @@ func TestNeighbor(t *testing.T) {
 	}
 }
 
-func TestOpposite(t *testing.T) {
-	pairs := [][2]Dir{{North, South}, {East, West}}
-	for _, p := range pairs {
-		if p[0].Opposite() != p[1] || p[1].Opposite() != p[0] {
-			t.Errorf("Opposite mismatch for %s/%s", p[0], p[1])
+// refNeighbor is the coordinate form Neighbor replaced, with the id range
+// checked first: Coord truncates, so on its own it maps some ids outside
+// the mesh onto nodes inside it.
+func refNeighbor(m *Mesh, id NodeID, d Dir) (NodeID, bool) {
+	if id < 0 || int(id) >= m.Nodes() {
+		return 0, false
+	}
+	c := m.Coord(id)
+	switch d {
+	case North:
+		c.Y++
+	case South:
+		c.Y--
+	case East:
+		c.X++
+	case West:
+		c.X--
+	default:
+		return 0, false
+	}
+	if c.X < 0 || c.X >= m.Width() || c.Y < 0 || c.Y >= m.Height() {
+		return 0, false
+	}
+	return m.ID(c), true
+}
+
+// TestNeighborMatchesCoordForm compares Neighbor with the coordinate form
+// for every node and every Dir value, Local and out-of-range ones
+// included, and checks that ids just outside the mesh have no neighbour.
+func TestNeighborMatchesCoordForm(t *testing.T) {
+	dirs := []Dir{-1, North, East, South, West, Local, NumDirs, 99}
+	for _, dim := range [][2]int{{1, 1}, {1, 7}, {7, 1}, {3, 5}, {8, 8}, {64, 64}} {
+		m := New(dim[0], dim[1])
+		ids := []NodeID{-1, NodeID(m.Nodes()), NodeID(m.Nodes() + m.Width())}
+		for id := NodeID(0); int(id) < m.Nodes(); id++ {
+			ids = append(ids, id)
+		}
+		for _, id := range ids {
+			for _, d := range dirs {
+				got, gotOK := m.Neighbor(id, d)
+				want, wantOK := refNeighbor(m, id, d)
+				if got != want || gotOK != wantOK {
+					t.Fatalf("%dx%d: Neighbor(%d, %s) = %d,%v, coordinate form %d,%v",
+						m.Width(), m.Height(), id, d, got, gotOK, want, wantOK)
+				}
+				if gotOK && (id < 0 || int(id) >= m.Nodes()) {
+					t.Fatalf("%dx%d: Neighbor(%d, %s) found a node for an id outside the mesh", m.Width(), m.Height(), id, d)
+				}
+			}
 		}
 	}
-	if Local.Opposite() != Local {
-		t.Error("Local.Opposite() != Local")
+}
+
+// TestOpposite checks Opposite on every Dir value: the four link
+// directions pair up N-S and E-W, and Local and every value that is not a
+// direction map to Local.
+func TestOpposite(t *testing.T) {
+	want := map[Dir]Dir{North: South, East: West, South: North, West: East}
+	for d := Dir(-3); d <= NumDirs+3; d++ {
+		w, ok := want[d]
+		if !ok {
+			w = Local
+		}
+		if got := d.Opposite(); got != w {
+			t.Errorf("%s.Opposite() = %s, want %s", d, got, w)
+		}
 	}
 }
 

@@ -197,17 +197,30 @@ func (c *Control) word(i int) (*uint64, uint) {
 	panic(fmt.Sprintf("packet: control group %d out of range", i))
 }
 
+// groupOnes[k] has the lowest bit of each of a control's first k groups
+// set; interimOnes[h] the lowest bit of every h-th group, counting from
+// Group 1, for h up to MaxGroups (a longer stride marks no group a route
+// can reach). Multiplying by a group's bits spreads them to those groups.
+var groupOnes, interimOnes = func() (ones, interims [MaxGroups + 1]Control) {
+	for k := 1; k <= MaxGroups; k++ {
+		ones[k] = ones[k-1]
+		ones[k].SetGroup(k-1, 1)
+		for i := k - 1; i < MaxGroups; i += k {
+			interims[k].SetGroup(i, 1)
+		}
+	}
+	return ones, interims
+}()
+
+// firstGroups returns groupOnes[k], k clamped to [0, MaxGroups]: callers
+// pass a tapFrom past the last group, and Segment -1 for an empty control.
+func firstGroups(k int) Control { return groupOnes[min(max(k, 0), MaxGroups)] }
+
 // toggle flips the bits of g in every group of [lo, hi).
 func (c *Control) toggle(lo, hi int, g Group) {
-	c.C0 ^= uint64(g) * (onesBelow(hi) &^ onesBelow(lo))
-	c.C1 ^= uint64(g) * (onesBelow(hi-groupsPerWord) &^ onesBelow(lo-groupsPerWord))
-}
-
-// onesBelow returns the lowest bit of each of a word's first k groups, k
-// clamped to the word.
-func onesBelow(k int) uint64 {
-	k = min(max(k, 0), groupsPerWord)
-	return wordOnes & (uint64(1)<<(k*GroupBits) - 1)
+	h, l := firstGroups(hi), firstGroups(lo)
+	c.C0 ^= uint64(g) * (h.C0 &^ l.C0)
+	c.C1 ^= uint64(g) * (h.C1 &^ l.C1)
 }
 
 // Used returns the number of meaningful groups.
@@ -400,10 +413,9 @@ func (c *Control) MarkInterims(maxHops int) {
 	if maxHops < 1 {
 		panic(fmt.Sprintf("packet: MarkInterims with maxHops %d", maxHops))
 	}
-	for i, last := maxHops-1, c.Used()-1; i < last; i += maxHops {
-		w, shift := c.word(i)
-		*w |= uint64(Local) << shift
-	}
+	m, below := interimOnes[min(maxHops, MaxGroups)], firstGroups(c.Used()-1)
+	c.C0 |= uint64(Local) * (m.C0 & below.C0)
+	c.C1 |= uint64(Local) * (m.C1 & below.C1)
 }
 
 // NextStop returns the number of groups up to and including the first group
@@ -425,8 +437,9 @@ func (c *Control) NextStop() int {
 // segment passes through before its stop, for transmit-energy accounting.
 func (c *Control) Segment() (links, taps int) {
 	links = c.NextStop()
-	taps = bits.OnesCount64(c.C0&(uint64(Multicast)*onesBelow(links-1))) +
-		bits.OnesCount64(c.C1&(uint64(Multicast)*onesBelow(links-1-groupsPerWord)))
+	below := firstGroups(links - 1)
+	taps = bits.OnesCount64(c.C0&(uint64(Multicast)*below.C0)) +
+		bits.OnesCount64(c.C1&(uint64(Multicast)*below.C1))
 	return links, taps
 }
 

@@ -4,9 +4,11 @@ package packet
 // refGroup is the decoded group (one bool a bit) with its methods;
 // refControl is the unpacked control (fourteen groups and an explicit
 // count), and refBuildControl and refBuildBroadcast build it one router at
-// a time. The tests below compare Group against refGroup on every byte
-// value, and the packed encoders against the references on every route of
-// a set of meshes.
+// a time; refToggle and refMarkInterims are the packed word operations
+// the group tables replaced. The tests below compare Group against
+// refGroup on every byte value, the packed encoders against the
+// references on every route of a set of meshes, and the table-driven
+// toggle and MarkInterims against theirs on every input they take.
 
 import (
 	"fmt"
@@ -491,6 +493,84 @@ func TestBuildBroadcastMatchesReference(t *testing.T) {
 					}
 					if !slices.Equal(got[i].Delivers, want[i].Delivers) {
 						t.Fatalf("%dx%d src %d sweep %d delivers %v, reference %v", m.Width(), m.Height(), src, i, got[i].Delivers, want[i].Delivers)
+					}
+				}
+			}
+		}
+	}
+}
+
+// refOnesBelow returns the lowest bit of each of a word's first k groups,
+// k clamped to the word: the shift-and-mask form groupOnes replaced.
+func refOnesBelow(k int) uint64 {
+	k = min(max(k, 0), groupsPerWord)
+	return wordOnes & (uint64(1)<<(k*GroupBits) - 1)
+}
+
+// refToggle flips the bits of g in every group of [lo, hi), one word at a
+// time.
+func refToggle(c *Control, lo, hi int, g Group) {
+	c.C0 ^= uint64(g) * (refOnesBelow(hi) &^ refOnesBelow(lo))
+	c.C1 ^= uint64(g) * (refOnesBelow(hi-groupsPerWord) &^ refOnesBelow(lo-groupsPerWord))
+}
+
+// refMarkInterims sets Local on every maxHops-th group before the last
+// used one, one group at a time.
+func refMarkInterims(c *Control, maxHops int) {
+	for i, last := maxHops-1, c.Used()-1; i < last; i += maxHops {
+		w, shift := c.word(i)
+		*w |= uint64(Local) << shift
+	}
+}
+
+// TestToggleMatchesReference compares toggle with refToggle on every
+// bound pair in [-1, MaxGroups+2], reversed and empty ranges included, for
+// each of the 32 group values and two starting controls. EncodeRoute
+// passes a tapFrom past MaxGroups for unicast routes, and the tables must
+// clamp it as the shifts did.
+func TestToggleMatchesReference(t *testing.T) {
+	starts := []Control{{}, {C0: 0x5_a5a5_a5a5, C1: 0x1_2345_6789}}
+	for _, start := range starts {
+		for lo := -1; lo <= MaxGroups+2; lo++ {
+			for hi := -1; hi <= MaxGroups+2; hi++ {
+				for g := Group(0); g < 1<<GroupBits; g++ {
+					got, want := start, start
+					got.toggle(lo, hi, g)
+					refToggle(&want, lo, hi, g)
+					if got != want {
+						t.Fatalf("toggle(%d, %d, %s) on %#x/%#x: %#x/%#x, reference %#x/%#x",
+							lo, hi, g, start.C0, start.C1, got.C0, got.C1, want.C0, want.C1)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMarkInterimsMatchesReference compares MarkInterims with
+// refMarkInterims for maxHops from 1 to MaxGroups+1 on every control
+// EncodeRoute builds: each leg pair (a, b) up to two links past the
+// truncation, the second leg straight on or turning either way, and each
+// tapFrom from 0 to MaxGroups.
+func TestMarkInterimsMatchesReference(t *testing.T) {
+	for first := mesh.North; first < mesh.NumLinkDirs; first++ {
+		for _, second := range []mesh.Dir{first, first.Turned(mesh.LeftTurn), first.Turned(mesh.RightTurn)} {
+			for a := 0; a <= MaxGroups+2; a++ {
+				for b := 0; b <= MaxGroups+2; b++ {
+					if a+b == 0 {
+						continue
+					}
+					for tapFrom := 0; tapFrom <= MaxGroups; tapFrom++ {
+						c, _ := EncodeRoute(first, a, second, b, tapFrom)
+						for h := 1; h <= MaxGroups+1; h++ {
+							got, want := c, c
+							got.MarkInterims(h)
+							refMarkInterims(&want, h)
+							if got != want {
+								t.Fatalf("%s%d %s%d tapFrom %d: MarkInterims(%d) of %s gives %s, reference %s",
+									first, a, second, b, tapFrom, h, c.String(), got.String(), want.String())
+							}
+						}
 					}
 				}
 			}
