@@ -17,6 +17,7 @@ import (
 	"phastlane/internal/coherence"
 	"phastlane/internal/core"
 	"phastlane/internal/electrical"
+	"phastlane/internal/exp"
 	"phastlane/internal/figures"
 	"phastlane/internal/islip"
 	"phastlane/internal/mesh"
@@ -118,7 +119,7 @@ func fig9() []figures.Fig9Result {
 		fig9Res = figures.Fig9(figures.Fig9Opts{
 			Rates:  []float64{0.02, 0.10, 0.20, 0.30, 0.40},
 			Warmup: 300, Measure: 1200, Seed: 2,
-		})
+		}, exp.Options{})
 		for _, r := range fig9Res {
 			fmt.Println(figures.Fig9Table(r))
 		}
@@ -156,7 +157,7 @@ var (
 // length and is shared by the Fig. 10, Fig. 11 and headline benchmarks.
 func splash(b *testing.B) []figures.SplashRow {
 	splashOnce.Do(func() {
-		splashRows, splashErr = figures.Splash(figures.SplashOpts{Messages: 6000, Seed: 1})
+		splashRows, splashErr = figures.Splash(figures.SplashOpts{Messages: 6000, Seed: 1}, exp.Options{})
 		if splashErr == nil {
 			fmt.Println(figures.Fig10Table(splashRows))
 			fmt.Println(figures.Fig11Table(splashRows))
@@ -409,7 +410,7 @@ func BenchmarkComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		results, err := figures.Compare(figures.CompareOpts{
 			Messages: 3000, Measure: 1000, Seed: 3,
-		})
+		}, exp.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -47,9 +47,7 @@ func main() {
 	measure := flag.Int("measure", 2000, "measurement cycles")
 	window := flag.Int64("window", 0, "sampler bin width in cycles (0 = default)")
 	seed := cliflags.Seed(flag.CommandLine)
-	hops := flag.Int("hops", 4, "optical MaxHops (4, 5 or 8)")
-	buffers := flag.Int("buffers", 10, "optical buffer entries (-1 = infinite)")
-	delay := flag.Int("delay", 3, "electrical router delay in cycles (2 or 3)")
+	nets := cliflags.RegisterNets(flag.CommandLine)
 	traceOut := flag.String("trace-out", "", "write Perfetto trace-event JSON to this file")
 	metricsOut := flag.String("metrics-out", "", "write per-node event matrices as CSV to this file")
 	seriesOut := flag.String("series-out", "", "write cycle-windowed time series as CSV to this file")
@@ -71,6 +69,21 @@ func main() {
 			}
 		})
 	}
+	useOptical := *netFlag == "both" || *netFlag == "optical"
+	useElectrical := *netFlag == "both" || *netFlag == "electrical"
+	if !useOptical && !useElectrical {
+		fail(fmt.Errorf("unknown -net %q (want both, optical or electrical)", *netFlag))
+	}
+	if !geo.IsMesh() {
+		// An indirect fabric runs on the generic fabric simulator alone.
+		if *netFlag != "both" {
+			fail(geo.RequireMesh("-net " + *netFlag))
+		}
+		useOptical, useElectrical = false, false
+	}
+	if err := nets.Check(flag.CommandLine, useOptical, useElectrical); err != nil {
+		fail(err)
+	}
 
 	w, h := geo.Width, geo.Height
 	var opts []figures.InspectOpts
@@ -87,8 +100,6 @@ func main() {
 		})
 	}
 	if !geo.IsMesh() {
-		// Indirect fabrics deep-dive through the generic fabric simulator;
-		// -net selects among the mesh models only.
 		tp, err := geo.Build()
 		if err != nil {
 			fail(err)
@@ -101,35 +112,24 @@ func main() {
 			return net
 		})
 		opts[0].Topo = tp
-	} else {
-		if *netFlag == "both" || *netFlag == "optical" {
-			add("optical", func(seed int64) sim.Network {
-				cfg := core.DefaultConfig()
-				cfg.Width, cfg.Height = w, h
-				cfg.MaxHops = *hops
-				cfg.BufferEntries = *buffers
-				cfg.Seed = seed
-				if err := cfg.Validate(); err != nil {
-					fail(err)
-				}
-				return core.New(cfg)
-			})
-		}
-		if *netFlag == "both" || *netFlag == "electrical" {
-			add("electrical", func(seed int64) sim.Network {
-				cfg := electrical.DefaultConfig()
-				cfg.Width, cfg.Height = w, h
-				cfg.RouterDelay = *delay
-				cfg.Seed = seed
-				if err := cfg.Validate(); err != nil {
-					fail(err)
-				}
-				return electrical.New(cfg)
-			})
-		}
 	}
-	if len(opts) == 0 {
-		fail(fmt.Errorf("unknown -net %q (want both, optical or electrical)", *netFlag))
+	if useOptical {
+		add("optical", func(seed int64) sim.Network {
+			cfg := nets.Optical(geo, seed)
+			if err := cfg.Validate(); err != nil {
+				fail(err)
+			}
+			return core.New(cfg)
+		})
+	}
+	if useElectrical {
+		add("electrical", func(seed int64) sim.Network {
+			cfg := nets.Electrical(geo, seed)
+			if err := cfg.Validate(); err != nil {
+				fail(err)
+			}
+			return electrical.New(cfg)
+		})
 	}
 
 	// CPU profiles now come from the shared telemetry endpoint:

@@ -6,8 +6,9 @@
 // the run uses the generic fabric simulator over that topology instead of
 // a mesh model (synthetic traffic only).
 //
-// -hops, -buffers and -retry-limit apply to -net optical only; -delay
-// applies to -net electrical only, on the mesh and on fabrics alike.
+// -hops, -buffers and -retry-limit apply to -net optical on the mesh
+// only; -delay applies to -net electrical only, on the mesh and on
+// fabrics alike. Each exits 1 when set where no network reads it.
 //
 // Usage:
 //
@@ -20,7 +21,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -42,10 +42,8 @@ func main() {
 	trafficName := flag.String("traffic", "Uniform", "pattern: Uniform, BitComp, BitRev, Shuffle, Transpose")
 	rate := flag.Float64("rate", 0.05, "injection rate (packets/node/cycle)")
 	tracePath := flag.String("trace", "", "replay a trace file instead of synthetic traffic")
-	hops := flag.Int("hops", 4, "optical: max hops per cycle (4, 5, or 8)")
 	geo := cliflags.RegisterGeometry(flag.CommandLine)
-	buffers := flag.Int("buffers", 10, "optical: electrical buffer entries per port (-1 = infinite)")
-	delay := flag.Int("delay", 3, "electrical: per-hop router delay in cycles (mesh: 2 or 3)")
+	nets := cliflags.RegisterNets(flag.CommandLine)
 	measure := flag.Int("measure", 4000, "measurement cycles (synthetic traffic)")
 	seed := cliflags.Seed(flag.CommandLine)
 	faultSpec := flag.String("faults", "", "fault plan: spec string, inline JSON, or @file")
@@ -57,21 +55,11 @@ func main() {
 	cliflags.Rates("phastlane", "rate", *rate)
 	cliflags.Counts("phastlane", flag.CommandLine, "measure")
 
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	switch *netName {
-	case "optical":
-		if set["delay"] {
-			fail(errors.New("-delay applies to -net electrical only"))
-		}
-	case "electrical":
-		for _, name := range []string{"hops", "buffers", "retry-limit"} {
-			if set[name] {
-				fail(fmt.Errorf("-%s applies to -net optical only", name))
-			}
-		}
-	default:
+	if *netName != "optical" && *netName != "electrical" {
 		fail(fmt.Errorf("unknown -net %q (want optical or electrical)", *netName))
+	}
+	if err := nets.Check(flag.CommandLine, *netName == "optical" && geo.IsMesh(), *netName == "electrical"); err != nil {
+		fail(err)
 	}
 
 	var net sim.Network
@@ -85,11 +73,7 @@ func main() {
 			plan = p
 		}
 		if *netName == "optical" {
-			cfg := core.DefaultConfig()
-			cfg.Width, cfg.Height = geo.Width, geo.Height
-			cfg.MaxHops = *hops
-			cfg.BufferEntries = *buffers
-			cfg.Seed = *seed
+			cfg := nets.Optical(geo, *seed)
 			cfg.RetryLimit = *retryLimit
 			cfg.LossTimeout = *lossTimeout
 			cfg.Faults = plan
@@ -98,10 +82,7 @@ func main() {
 			}
 			net = core.New(cfg)
 		} else {
-			cfg := electrical.DefaultConfig()
-			cfg.Width, cfg.Height = geo.Width, geo.Height
-			cfg.RouterDelay = *delay
-			cfg.Seed = *seed
+			cfg := nets.Electrical(geo, *seed)
 			cfg.LossTimeout = *lossTimeout
 			cfg.Faults = plan
 			if err := cfg.Validate(); err != nil {
@@ -116,12 +97,9 @@ func main() {
 		if *faultSpec != "" {
 			fail(geo.RequireMesh("-faults"))
 		}
-		if *retryLimit != 0 {
-			fail(geo.RequireMesh("-retry-limit (fabric simulators have no drop/retry protocol)"))
-		}
 		routerDelay := 0 // the fabric simulator's default
 		if *netName == "electrical" {
-			routerDelay = *delay
+			routerDelay = nets.Delay
 		}
 		fnet, err := geo.FabricNetwork(routerDelay, *lossTimeout, *seed)
 		if err != nil {

@@ -8,13 +8,14 @@ import (
 
 // TestParseOnly checks the -only stage selection: empty selects every
 // stage, selected stages always come back in run order, and an unknown
-// or empty element is an error naming all five stages.
+// or empty element is an error naming all seven stages.
 func TestParseOnly(t *testing.T) {
 	for _, tc := range []struct {
 		list string
 		want []string
 	}{
-		{"", []string{"design", "fig9", "splash", "compare", "sensitivity"}},
+		{"", []string{"design", "fig9", "splash", "compare", "sensitivity", "faults", "congestion"}},
+		{"congestion,faults,design", []string{"design", "faults", "congestion"}},
 		{"fig9,compare", []string{"fig9", "compare"}},
 		{"compare,fig9", []string{"fig9", "compare"}},
 		{" sensitivity , design ", []string{"design", "sensitivity"}},

@@ -11,7 +11,7 @@
 //
 // Everything is deterministic. A Governor consumes no wall clock and no
 // shared randomness: controller updates are staggered across senders by a
-// splitmix64 hash of (Seed, sender) so AIMD phases do not lock, and every
+// exp.Mix64 hash of (Seed, sender) so AIMD phases do not lock, and every
 // decision depends only on the signal sequence the harness feeds it.
 // Because the harness drives the governor synchronously from its own
 // single-threaded cycle loop, governed runs are bit-identical at any
@@ -27,6 +27,7 @@ package cc
 import (
 	"fmt"
 
+	"phastlane/internal/exp"
 	"phastlane/internal/mesh"
 	"phastlane/internal/telemetry"
 )
@@ -265,7 +266,7 @@ func New(cfg Config, nodes int) *Governor {
 		s.rate = cfg.InitRate
 		s.tokens = 1 // first packet admitted immediately
 		s.thresh = cfg.ThreshInit
-		s.offset = int64(splitmix64(uint64(cfg.Seed)^(uint64(i)+0x9e3779b97f4a7c15)) % uint64(cfg.UpdateEvery))
+		s.offset = int64(exp.Mix64(uint64(cfg.Seed)^(uint64(i)+0x9e3779b97f4a7c15)) % uint64(cfg.UpdateEvery))
 	}
 	if cfg.HistoryEvery > 0 {
 		g.history = make([]RateSample, 0, 1024)
@@ -342,9 +343,6 @@ func (g *Governor) Rate(src mesh.NodeID) float64 { return g.senders[src].rate }
 // State returns src's controller state as of its last update.
 func (g *Governor) State(src mesh.NodeID) State { return g.senders[src].state }
 
-// Gradient returns src's filtered delay gradient.
-func (g *Governor) Gradient(src mesh.NodeID) float64 { return g.senders[src].grad }
-
 // MeanRate returns the population's mean admitted rate.
 func (g *Governor) MeanRate() float64 {
 	var sum float64
@@ -378,13 +376,4 @@ func (g *Governor) sampleHistory() {
 		Losses:    g.histLost,
 	})
 	g.histAcks, g.histNacks, g.histLost = 0, 0, 0
-}
-
-// splitmix64 is the stagger hash (same generator as the exp engine's
-// per-point seeds).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

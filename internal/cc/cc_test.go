@@ -144,8 +144,8 @@ func TestOveruseDecrease(t *testing.T) {
 		t.Fatalf("rate %v never decreased from %v under rising latency",
 			g.Rate(0), cfg.InitRate)
 	}
-	if g.Gradient(0) <= 0 {
-		t.Fatalf("gradient %v not positive under rising latency", g.Gradient(0))
+	if grad := g.senders[0].grad; grad <= 0 {
+		t.Fatalf("gradient %v not positive under rising latency", grad)
 	}
 }
 
@@ -225,7 +225,7 @@ func TestDeterminism(t *testing.T) {
 	a, b := build(), build()
 	for i := 0; i < 16; i++ {
 		if a.Rate(nid(i)) != b.Rate(nid(i)) || a.State(nid(i)) != b.State(nid(i)) ||
-			a.Gradient(nid(i)) != b.Gradient(nid(i)) {
+			a.senders[i].grad != b.senders[i].grad {
 			t.Fatalf("sender %d diverged between identical runs", i)
 		}
 	}

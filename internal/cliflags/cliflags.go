@@ -1,11 +1,12 @@
 // Package cliflags consolidates the command-line blocks the cmds used
 // to copy-paste: the topology/geometry flags (-topo, -width, -height,
-// -arity) behind one fabric builder, the shared -seed flag, the plain
-// -telemetry-addr endpoint flag, the -faults argument parser, the
-// injection-rate and count checks, and the uniform error exit.
-// Single-run cmds (phastlane) still register the full telemetry.CLI
-// bundle (flight recorder, phase sampling) on top of these; the study
-// cmds (reproduce, inspect, faults, congestion) take just the endpoint
+// -arity) behind one fabric builder, the mesh network-model flags
+// (-hops, -buffers, -delay) with their unused-flag check, the shared
+// -seed flag, the plain -telemetry-addr endpoint flag, the -faults
+// argument parser, the injection-rate and count checks, and the uniform
+// error exit. Single-run cmds (phastlane) still register the full
+// telemetry.CLI bundle (flight recorder, phase sampling) on top of
+// these; the study cmds (reproduce, inspect) take just the endpoint
 // address.
 package cliflags
 

@@ -2,6 +2,7 @@ package cliflags
 
 import (
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"os/exec"
@@ -154,5 +155,51 @@ func TestCounts(t *testing.T) {
 	err := checkCounts(fs, []string{"warmup", "measure"})
 	if want := "-measure -1 is negative"; err == nil || err.Error() != want {
 		t.Fatalf("got error %v, want %q", err, want)
+	}
+}
+
+// The network-model block builds both mesh configs from its flags, and
+// Check rejects a set flag that no network of the run reads: the
+// optical-only flags without an optical mesh, -delay without an
+// electrical network, and all of them on a run with neither.
+func TestNetsCheckRejectsUnusedFlags(t *testing.T) {
+	parse := func(args ...string) (*flag.FlagSet, *Geometry, *Nets) {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		g := RegisterGeometry(fs)
+		n := RegisterNets(fs)
+		fs.Int("retry-limit", 0, "")
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return fs, g, n
+	}
+	_, g, n := parse("-width", "4", "-height", "4", "-hops", "5", "-buffers", "3", "-delay", "2")
+	if o := n.Optical(g, 7); o.Width != 4 || o.Height != 4 || o.MaxHops != 5 || o.BufferEntries != 3 || o.Seed != 7 {
+		t.Errorf("optical config %+v", o)
+	}
+	if e := n.Electrical(g, 7); e.Width != 4 || e.Height != 4 || e.RouterDelay != 2 || e.Seed != 7 {
+		t.Errorf("electrical config %+v", e)
+	}
+
+	for _, tc := range []struct {
+		args                []string
+		optical, electrical bool
+		want                string // "" = accepted
+	}{
+		{[]string{"-hops", "5", "-buffers", "3", "-delay", "2"}, true, true, ""},
+		{[]string{"-hops", "5", "-retry-limit", "16"}, true, false, ""},
+		{[]string{"-delay", "2"}, false, true, ""},
+		{nil, false, false, ""},
+		{[]string{"-hops", "5"}, false, true, "-hops applies to the optical mesh only"},
+		{[]string{"-buffers", "3"}, false, true, "-buffers applies to the optical mesh only"},
+		{[]string{"-retry-limit", "16"}, false, true, "-retry-limit applies to the optical mesh only"},
+		{[]string{"-delay", "2"}, true, false, "-delay applies to the electrical network only"},
+		{[]string{"-delay", "3"}, false, false, "-delay applies to the electrical network only"},
+	} {
+		fs, _, n := parse(tc.args...)
+		err := n.Check(fs, tc.optical, tc.electrical)
+		if got := fmt.Sprint(err); (tc.want == "" && err != nil) || (tc.want != "" && got != tc.want) {
+			t.Errorf("%v (optical %v, electrical %v): error %v, want %q", tc.args, tc.optical, tc.electrical, err, tc.want)
+		}
 	}
 }

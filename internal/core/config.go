@@ -16,7 +16,6 @@ import (
 
 	"phastlane/internal/fault"
 	"phastlane/internal/packet"
-	"phastlane/internal/photonic"
 	"phastlane/internal/power"
 )
 
@@ -121,14 +120,6 @@ func DefaultConfig() Config {
 		BackoffMax:    8,
 		Seed:          1,
 	}
-}
-
-// ConfigForScenario returns DefaultConfig with MaxHops set from the
-// device-scaling scenario: 8 (optimistic), 5 (average) or 4 (pessimistic).
-func ConfigForScenario(s photonic.Scenario) Config {
-	cfg := DefaultConfig()
-	cfg.MaxHops = photonic.MaxHopsPerCycle(s, cfg.WDM, photonic.DefaultClockGHz)
-	return cfg
 }
 
 // Validate reports configuration errors.

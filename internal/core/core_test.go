@@ -8,7 +8,6 @@ import (
 	"phastlane/internal/fault"
 	"phastlane/internal/mesh"
 	"phastlane/internal/packet"
-	"phastlane/internal/photonic"
 	"phastlane/internal/sim"
 )
 
@@ -602,23 +601,6 @@ func TestEnergyAccountingAccumulates(t *testing.T) {
 	if r.OpticalEnergyPJ <= 0 || r.ElectricalEnergyPJ <= 0 || r.LeakagePJ <= 0 {
 		t.Errorf("energy not accumulating: optical=%v electrical=%v leakage=%v",
 			r.OpticalEnergyPJ, r.ElectricalEnergyPJ, r.LeakagePJ)
-	}
-}
-
-func TestConfigForScenario(t *testing.T) {
-	want := map[photonic.Scenario]int{
-		photonic.Optimistic:  8,
-		photonic.Average:     5,
-		photonic.Pessimistic: 4,
-	}
-	for s, hops := range want {
-		cfg := ConfigForScenario(s)
-		if cfg.MaxHops != hops {
-			t.Errorf("scenario %s MaxHops = %d, want %d", s, cfg.MaxHops, hops)
-		}
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("scenario %s config invalid: %v", s, err)
-		}
 	}
 }
 

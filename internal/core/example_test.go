@@ -10,11 +10,13 @@ import (
 )
 
 // ExampleNetwork shows the minimal life of a packet: inject a unicast
-// message and step the clock until delivery.
+// message and step the clock until delivery. Each drain is capped, so a
+// parcel the network strands fails the output check rather than
+// spinning until the test timeout.
 func ExampleNetwork() {
 	net := core.New(core.DefaultConfig())
 	net.Inject(sim.Message{ID: 1, Src: 0, Dsts: []mesh.NodeID{4}, Op: packet.OpSynthetic})
-	for !net.Quiescent() {
+	for cycle := 0; cycle < 300 && !net.Quiescent(); cycle++ {
 		for _, d := range net.Step(nil) {
 			fmt.Printf("msg %d delivered to node %d\n", d.MsgID, d.Dst)
 		}
@@ -33,7 +35,7 @@ func ExampleNetwork_broadcast() {
 	}
 	net.Inject(sim.Message{ID: 7, Src: 0, Dsts: everyone, Op: packet.OpReadReq})
 	served := 0
-	for !net.Quiescent() {
+	for cycle := 0; cycle < 300 && !net.Quiescent(); cycle++ {
 		served += len(net.Step(nil))
 	}
 	fmt.Printf("broadcast served %d nodes\n", served)

@@ -43,19 +43,25 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// Mix64 is one step of splitmix64: it advances v by the golden-ratio
+// increment and returns the finaliser's hash of the result. It is the
+// repository's one stateless mixing function, so every seeded hash draws
+// from the same generator as the per-point seeds.
+func Mix64(v uint64) uint64 {
+	v += 0x9e3779b97f4a7c15
+	v = (v ^ v>>30) * 0xbf58476d1ce4e5b9
+	v = (v ^ v>>27) * 0x94d049bb133111eb
+	return v ^ v>>31
+}
+
 // DeriveSeed maps (base seed, point index) to a decorrelated per-point
-// seed using the splitmix64 finaliser. Points of one grid get seeds that
-// are deterministic functions of their index alone, so a grid evaluated in
-// parallel, in reverse, or resumed halfway sees the same random streams as
-// a serial sweep. The mapping avoids returning 0 because several PRNGs
-// treat a zero seed as degenerate.
+// seed with Mix64. Points of one grid get seeds that are deterministic
+// functions of their index alone, so a grid evaluated in parallel, in
+// reverse, or resumed halfway sees the same random streams as a serial
+// sweep. The mapping avoids returning 0 because several PRNGs treat a
+// zero seed as degenerate.
 func DeriveSeed(base int64, index uint64) int64 {
-	z := uint64(base) + 0x9e3779b97f4a7c15*(index+1)
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
+	z := Mix64(uint64(base) + 0x9e3779b97f4a7c15*index)
 	if z == 0 {
 		z = 0x9e3779b97f4a7c15
 	}

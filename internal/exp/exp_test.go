@@ -15,6 +15,34 @@ func TestDeriveSeedDeterministic(t *testing.T) {
 	}
 }
 
+// TestMix64Vectors pins Mix64 to splitmix64's published first outputs
+// for state 0, and DeriveSeed to values recorded before it was written
+// over Mix64: every per-point seed, fault plan and job digest rests on
+// these.
+func TestMix64Vectors(t *testing.T) {
+	if got := Mix64(0); got != 0xe220a8397b1dcdaf {
+		t.Errorf("Mix64(0) = %#x, want 0xe220a8397b1dcdaf", got)
+	}
+	if got := Mix64(0x9e3779b97f4a7c15); got != 0x6e789e6aa1b965f4 {
+		t.Errorf("Mix64(golden) = %#x, want 0x6e789e6aa1b965f4", got)
+	}
+	for _, c := range []struct {
+		base  int64
+		index uint64
+		want  int64
+	}{
+		{0, 0, -2152535657050944081},
+		{1, 0, -7995527694508729151},
+		{1, 1, -4689498862643123097},
+		{42, 7, -3677692746721775708},
+		{-5, 1 << 40, -5992946691572228079},
+	} {
+		if got := DeriveSeed(c.base, c.index); got != c.want {
+			t.Errorf("DeriveSeed(%d, %d) = %d, want %d", c.base, c.index, got, c.want)
+		}
+	}
+}
+
 func TestDeriveSeedDecorrelates(t *testing.T) {
 	seen := map[int64]uint64{}
 	for i := uint64(0); i < 10000; i++ {

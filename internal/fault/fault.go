@@ -7,7 +7,7 @@
 //
 // Determinism is the design centre, matching internal/exp: every fault in
 // a plan is explicit, RandomPlan derives placements from a seed with
-// splitmix64, and control corruption is a pure hash of (seed, cycle, node,
+// exp.Mix64, and control corruption is a pure hash of (seed, cycle, node,
 // message), so two runs of the same plan produce bit-identical event
 // streams regardless of scheduling. A nil or empty plan costs nothing:
 // the simulators guard every consultation behind a nil-injector check,

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"phastlane/internal/exp"
 	"phastlane/internal/mesh"
 )
 
@@ -87,7 +88,7 @@ func (p *Plan) Arm(m *mesh.Mesh) (*Injector, error) {
 		links: make([][]window, m.Nodes()*mesh.NumLinkDirs),
 		stuck: make([][]window, m.Nodes()),
 		slots: make([][]slotWindow, m.Nodes()*mesh.NumDirs),
-		seed:  splitmix64(uint64(p.Seed) ^ 0x9e3779b97f4a7c15),
+		seed:  exp.Mix64(uint64(p.Seed) ^ 0x9e3779b97f4a7c15),
 	}
 	if p.CorruptRate > 0 {
 		in.corruptThreshold = uint64(p.CorruptRate * math.MaxUint64)
@@ -235,11 +236,11 @@ func (in *Injector) Corrupt(cycle int64, node mesh.NodeID, msgID uint64) Effect 
 	if in == nil || in.corruptThreshold == 0 {
 		return EffectNone
 	}
-	h := splitmix64(in.seed ^ uint64(cycle)*0xbf58476d1ce4e5b9 ^ uint64(node)*0x94d049bb133111eb ^ msgID*0xd6e8feb86659fd93)
+	h := exp.Mix64(in.seed ^ uint64(cycle)*0xbf58476d1ce4e5b9 ^ uint64(node)*0x94d049bb133111eb ^ msgID*0xd6e8feb86659fd93)
 	if h >= in.corruptThreshold {
 		return EffectNone
 	}
-	if splitmix64(h)&1 == 0 {
+	if exp.Mix64(h)&1 == 0 {
 		return EffectDrop
 	}
 	return EffectMisroute
@@ -265,13 +266,4 @@ func (in *Injector) Step(cycle int64, emit func(Transition)) {
 // delivered yet — the cheap guard the simulators use before calling Step.
 func (in *Injector) Pending(cycle int64) bool {
 	return in != nil && in.cursor < len(in.transitions) && in.transitions[in.cursor].Cycle <= cycle
-}
-
-// splitmix64 is the splitmix64 finaliser, the same mixing function the
-// experiment engine uses for per-point seed derivation.
-func splitmix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

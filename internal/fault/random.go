@@ -3,6 +3,7 @@ package fault
 import (
 	"fmt"
 
+	"phastlane/internal/exp"
 	"phastlane/internal/mesh"
 )
 
@@ -31,7 +32,7 @@ func RandomPlan(seed int64, width, height int, rs RandomSpec) *Plan {
 	state := uint64(seed)
 	next := func() uint64 {
 		state += 0x9e3779b97f4a7c15
-		return splitmix64(state)
+		return exp.Mix64(state)
 	}
 
 	// Directed interior links: enumerate once so draws are O(1) and

@@ -83,12 +83,6 @@ type CompareOpts struct {
 	Benchmark string
 	Messages  int
 	Seed      int64
-	// Workers sizes the pool the architectures fan out over; values
-	// below 1 use one worker per core.
-	Workers int
-	// Progress, when non-nil, receives (completed, total) architecture
-	// counts.
-	Progress func(done, total int)
 }
 
 // CompareResult holds one architecture's numbers.
@@ -104,9 +98,10 @@ type CompareResult struct {
 }
 
 // Compare runs the synthetic sweep and the coherence-trace round on every
-// architecture. The uniform-random curve is one sim.Sweep per
-// architecture, with a fresh UniformRandom per point.
-func Compare(opts CompareOpts) ([]CompareResult, error) {
+// architecture, the architectures fanning out over engine. The
+// uniform-random curve is one sim.Sweep per architecture, with a fresh
+// UniformRandom per point.
+func Compare(opts CompareOpts, engine exp.Options) ([]CompareResult, error) {
 	if opts.Rates == nil {
 		opts.Rates = []float64{0.02, 0.05, 0.10, 0.20, 0.30}
 	}
@@ -140,7 +135,7 @@ func Compare(opts CompareOpts) ([]CompareResult, error) {
 		res.TracePowerW = trres.Run.PowerW(photonic.DefaultClockGHz)
 		res.TraceDrops = trres.Run.Drops
 		return archOut{res: res}
-	}, exp.Options{Workers: opts.Workers, Progress: opts.Progress})
+	}, engine)
 	var out []CompareResult
 	for _, o := range results {
 		if o.err != nil {

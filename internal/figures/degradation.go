@@ -21,25 +21,19 @@ import (
 // of the offered traffic still gets through, at what latency, and how much
 // the delivery layer had to abandon.
 
+// DegradationRate is the sweep's fixed offered load (packets/node/cycle):
+// 0.10 sits comfortably below the healthy-network knee, so any
+// degradation is attributable to the faults.
+const DegradationRate = 0.10
+
 // DegradationOpts controls the sweep.
 type DegradationOpts struct {
-	// Rate is the fixed offered load (packets/node/cycle); the default
-	// 0.10 sits comfortably below the healthy-network knee so any
-	// degradation is attributable to the faults.
-	Rate float64
-	// Warmup and Measure cycles per point; values below 1 use 300 and
-	// 1500 — the sweep runs many points, so the defaults are
-	// deliberately shorter than RunRate's.
+	// Warmup and Measure cycles per point; zero uses RunRate's defaults.
 	Warmup, Measure int
 	// Trials is how many independent fault placements are averaged per
-	// point (values below 1 use 2). More trials smooth placement luck.
+	// point (values below 1 run one). More trials smooth placement luck.
 	Trials int
 	Seed   int64
-	// Workers sizes the pool the points fan out over; values below 1 use
-	// one worker per core. Results are identical for any worker count.
-	Workers int
-	// Progress, when non-nil, receives (completed, total) point counts.
-	Progress func(done, total int)
 }
 
 // DegradationPoint is one (axis, level, config) outcome, averaged over the
@@ -125,31 +119,12 @@ func degradationNet(config string, plan *fault.Plan, seed int64) sim.Network {
 	}
 }
 
-// Resolved returns opts with every unset field at its documented
-// default. Degradation runs the resolved options, so a report built from
-// them records what ran.
-func (opts DegradationOpts) Resolved() DegradationOpts {
-	if opts.Rate == 0 {
-		opts.Rate = 0.10
-	}
-	if opts.Warmup <= 0 {
-		opts.Warmup = 300
-	}
-	if opts.Measure <= 0 {
-		opts.Measure = 1500
-	}
-	if opts.Trials <= 0 {
-		opts.Trials = 2
-	}
-	return opts
-}
-
-// Degradation runs the fault sweeps and returns all points in a stable
-// order (axis, level, config). Each point's fault placements derive from
-// (Seed, point index, trial) alone, so two runs with the same options are
-// bit-identical regardless of worker count.
-func Degradation(opts DegradationOpts) []DegradationPoint {
-	opts = opts.Resolved()
+// Degradation runs the fault sweeps on engine and returns all points in a
+// stable order (axis, level, config). Each point's fault placements derive
+// from (Seed, point index, trial) alone, so two runs with the same options
+// are bit-identical regardless of worker count.
+func Degradation(opts DegradationOpts, engine exp.Options) []DegradationPoint {
+	trials := max(opts.Trials, 1)
 	type job struct {
 		axis   string
 		level  float64
@@ -168,15 +143,15 @@ func Degradation(opts DegradationOpts) []DegradationPoint {
 			}
 		}
 	}
-	pts := exp.Run(jobs, func(ji int, j job) DegradationPoint {
+	return exp.Run(jobs, func(ji int, j job) DegradationPoint {
 		pt := DegradationPoint{Axis: j.axis, Level: j.level, Config: j.config}
-		for trial := 0; trial < opts.Trials; trial++ {
+		for trial := 0; trial < trials; trial++ {
 			planSeed := exp.DeriveSeed(opts.Seed, uint64(ji)*64+uint64(trial))
 			plan := fault.RandomPlan(planSeed, 8, 8, j.spec)
 			net := degradationNet(j.config, plan, opts.Seed+7)
 			r := sim.RunRate(net, sim.RateConfig{
 				Pattern: traffic.UniformRandom(64, exp.DeriveSeed(opts.Seed, uint64(ji)*64+32+uint64(trial))),
-				Rate:    opts.Rate,
+				Rate:    DegradationRate,
 				Warmup:  opts.Warmup, Measure: opts.Measure,
 				Seed: opts.Seed,
 			})
@@ -187,20 +162,18 @@ func Degradation(opts DegradationOpts) []DegradationPoint {
 			}
 			pt.Unresolved += r.Unresolved
 		}
-		n := float64(opts.Trials)
+		n := float64(trials)
 		pt.Throughput /= n
 		pt.AvgLatency /= n
 		pt.LostFrac /= n
 		return pt
-	}, exp.Options{Workers: opts.Workers, Progress: opts.Progress})
-	return pts
+	}, engine)
 }
 
-// DegradationTable renders the sweep run with opts in long form, one row
-// per point; the title carries the resolved offered rate.
-func DegradationTable(opts DegradationOpts, pts []DegradationPoint) *stats.Table {
+// DegradationTable renders the sweep in long form, one row per point.
+func DegradationTable(pts []DegradationPoint) *stats.Table {
 	t := &stats.Table{
-		Title:   fmt.Sprintf("Degradation: throughput/latency vs fault rate (offered %s uniform)", stats.F(opts.Resolved().Rate)),
+		Title:   fmt.Sprintf("Degradation: throughput/latency vs fault rate (offered %s uniform)", stats.F(DegradationRate)),
 		Columns: []string{"axis", "level", "config", "throughput", "latency", "lost", "unresolved"},
 	}
 	for _, p := range pts {

@@ -2,30 +2,26 @@ package figures
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
+
+	"phastlane/internal/exp"
 )
 
 // smallDegradation keeps the sweep cheap for tests: one trial, short
 // phases. Determinism must hold at any size.
-func smallDegradation(workers int) DegradationOpts {
-	return DegradationOpts{
-		Rate: 0.08, Warmup: 100, Measure: 400, Trials: 1, Seed: 5,
-		Workers: workers,
-	}
-}
+var smallDegradation = DegradationOpts{Warmup: 100, Measure: 400, Trials: 1, Seed: 5}
 
 func TestDegradationDeterministicAcrossWorkerCounts(t *testing.T) {
-	serial := Degradation(smallDegradation(1))
-	parallel := Degradation(smallDegradation(8))
+	serial := Degradation(smallDegradation, exp.Options{Workers: 1})
+	parallel := Degradation(smallDegradation, exp.Options{Workers: 8})
 	if got, want := fmt.Sprintf("%#v", parallel), fmt.Sprintf("%#v", serial); got != want {
 		t.Errorf("Degradation differs across worker counts:\nworkers=1: %s\nworkers=8: %s", want, got)
 	}
 }
 
 func TestDegradationCurvesBehave(t *testing.T) {
-	pts := Degradation(smallDegradation(0))
+	pts := Degradation(smallDegradation, exp.Options{})
 	byKey := map[string]DegradationPoint{}
 	for _, p := range pts {
 		byKey[fmt.Sprintf("%s/%v/%s", p.Axis, p.Level, p.Config)] = p
@@ -45,8 +41,8 @@ func TestDegradationCurvesBehave(t *testing.T) {
 		if p.LostFrac != 0 {
 			t.Errorf("%s: lost %.3f of traffic with no faults", key, p.LostFrac)
 		}
-		if p.Throughput < 0.9*0.08 {
-			t.Errorf("%s: healthy throughput %.4f below offered 0.08", key, p.Throughput)
+		if p.Throughput < 0.9*DegradationRate {
+			t.Errorf("%s: healthy throughput %.4f below offered %v", key, p.Throughput, DegradationRate)
 		}
 	}
 
@@ -67,11 +63,17 @@ func TestDegradationCurvesBehave(t *testing.T) {
 	}
 }
 
+// TestDegradationTableAndPlot checks the renderings: one table row per
+// point under a title naming the offered rate, and one plot series per
+// network on a hardware axis.
 func TestDegradationTableAndPlot(t *testing.T) {
-	pts := Degradation(DegradationOpts{Rate: 0.05, Warmup: 50, Measure: 150, Trials: 1, Seed: 9})
-	tbl := DegradationTable(DegradationOpts{Rate: 0.05}, pts)
+	pts := Degradation(DegradationOpts{Warmup: 50, Measure: 150, Trials: 1, Seed: 9}, exp.Options{})
+	tbl := DegradationTable(pts)
 	if len(tbl.Rows) != len(pts) {
 		t.Fatalf("table has %d rows for %d points", len(tbl.Rows), len(pts))
+	}
+	if want := "offered 0.10 uniform"; !strings.Contains(tbl.Title, want) {
+		t.Errorf("table title %q does not contain %q", tbl.Title, want)
 	}
 	plot := DegradationPlot("dead-links", pts)
 	if len(plot.Series) != 2 {
@@ -79,33 +81,5 @@ func TestDegradationTableAndPlot(t *testing.T) {
 	}
 	if s := plot.String(); s == "" {
 		t.Fatal("empty plot render")
-	}
-}
-
-// TestStudyOptionsResolveDefaults checks that zero-valued study options
-// resolve to their documented defaults, so a report built from the
-// resolved options records what ran, and that the degradation table's
-// title carries the resolved offered rate.
-func TestStudyOptionsResolveDefaults(t *testing.T) {
-	if got, want := (DegradationOpts{Seed: 4}).Resolved(), (DegradationOpts{
-		Rate: 0.10, Warmup: 300, Measure: 1500, Trials: 2, Seed: 4,
-	}); !reflect.DeepEqual(got, want) {
-		t.Errorf("DegradationOpts{Seed: 4}.Resolved() = %+v, want %+v", got, want)
-	}
-	if got, want := (GovernedOpts{Seed: 4}).Resolved(), (GovernedOpts{
-		Configs: []string{"Optical4", "Electrical3"}, Patterns: []string{"Uniform", "BitComp"},
-		Rates: []float64{0.30, 0.40, 0.50, 0.60, 0.70}, StaticRate: 0.30,
-		Warmup: 300, Measure: 2000, Seed: 4,
-	}); !reflect.DeepEqual(got, want) {
-		t.Errorf("GovernedOpts{Seed: 4}.Resolved() = %+v, want %+v", got, want)
-	}
-	set := DegradationOpts{Rate: 0.25, Warmup: 10, Measure: 20, Trials: 3}
-	if got := set.Resolved(); !reflect.DeepEqual(got, set) {
-		t.Errorf("Resolved() changed set options %+v to %+v", set, got)
-	}
-	for rate, want := range map[float64]string{0: "offered 0.10 uniform", 0.25: "offered 0.25 uniform"} {
-		if title := DegradationTable(DegradationOpts{Rate: rate}, nil).Title; !strings.Contains(title, want) {
-			t.Errorf("DegradationTable at rate %v: title %q, want it to contain %q", rate, title, want)
-		}
 	}
 }

@@ -3,6 +3,8 @@ package figures
 import (
 	"fmt"
 	"testing"
+
+	"phastlane/internal/exp"
 )
 
 // The figures layer fans grids out over the exp engine; these tests pin
@@ -14,10 +16,8 @@ func TestFig9DeterministicAcrossWorkerCounts(t *testing.T) {
 		Rates:  []float64{0.02, 0.10, 0.30},
 		Warmup: 150, Measure: 500, Seed: 5,
 	}
-	opts.Workers = 1
-	serial := Fig9(opts)
-	opts.Workers = 8
-	parallel := Fig9(opts)
+	serial := Fig9(opts, exp.Options{Workers: 1})
+	parallel := Fig9(opts, exp.Options{Workers: 8})
 	if got, want := fmt.Sprintf("%#v", parallel), fmt.Sprintf("%#v", serial); got != want {
 		t.Errorf("Fig9 differs across worker counts:\nworkers=1: %s\nworkers=8: %s", want, got)
 	}
@@ -33,13 +33,11 @@ func TestFig9DeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestSplashDeterministicAcrossWorkerCounts(t *testing.T) {
 	opts := SplashOpts{Benchmarks: []string{"Barnes", "LU"}, Messages: 1500, Seed: 5}
-	opts.Workers = 1
-	serial, err := Splash(opts)
+	serial, err := Splash(opts, exp.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Workers = 8
-	parallel, err := Splash(opts)
+	parallel, err := Splash(opts, exp.Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +48,11 @@ func TestSplashDeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestSensitivityDeterministicAcrossWorkerCounts(t *testing.T) {
 	opts := SensitivityOpts{Benchmark: "LU", Messages: 1200, Seed: 5}
-	opts.Workers = 1
-	serial, err := Sensitivity(opts)
+	serial, err := Sensitivity(opts, exp.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Workers = 8
-	parallel, err := Sensitivity(opts)
+	parallel, err := Sensitivity(opts, exp.Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +63,11 @@ func TestSensitivityDeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestCompareDeterministicAcrossWorkerCounts(t *testing.T) {
 	opts := CompareOpts{Rates: []float64{0.02, 0.10}, Warmup: 150, Measure: 500, Messages: 1200, Seed: 5}
-	opts.Workers = 1
-	serial, err := Compare(opts)
+	serial, err := Compare(opts, exp.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Workers = 8
-	parallel, err := Compare(opts)
+	parallel, err := Compare(opts, exp.Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,12 +20,6 @@ type Fig9Opts struct {
 	// Warmup and Measure cycles per point; zero uses RunRate defaults.
 	Warmup, Measure int
 	Seed            int64
-	// Workers sizes the pool the (pattern x config) curves fan out over;
-	// values below 1 use one worker per core. Results are identical for
-	// any worker count.
-	Workers int
-	// Progress, when non-nil, receives (completed, total) curve counts.
-	Progress func(done, total int)
 }
 
 // DefaultFig9Rates spans from deep pre-saturation to past the knee.
@@ -47,10 +41,9 @@ type Fig9Result struct {
 
 // Fig9 sweeps the four permutation patterns over the Fig. 9
 // configurations. Each (pattern x config) curve is one sim.Sweep, and the
-// curves fan out over the exp worker pool; a sweep builds fresh networks
-// and patterns per point, so the output is bit-identical for any worker
-// count.
-func Fig9(opts Fig9Opts) []Fig9Result {
+// curves fan out over engine; a sweep builds fresh networks and patterns
+// per point, so the output is bit-identical for any worker count.
+func Fig9(opts Fig9Opts, engine exp.Options) []Fig9Result {
 	rates := opts.Rates
 	if rates == nil {
 		rates = DefaultFig9Rates()
@@ -69,7 +62,7 @@ func Fig9(opts Fig9Opts) []Fig9Result {
 			func() sim.Network { return configs[j.ci].Build(opts.Seed + 1) },
 			func() traffic.Pattern { return traffic.Patterns(64)[j.pi] },
 			rates, sim.RateConfig{Warmup: opts.Warmup, Measure: opts.Measure, Seed: opts.Seed})
-	}, exp.Options{Workers: opts.Workers, Progress: opts.Progress})
+	}, engine)
 	out := make([]Fig9Result, len(patterns))
 	for ji, j := range jobs {
 		if out[j.pi].Pattern == "" {
@@ -167,11 +160,6 @@ type SplashOpts struct {
 	// Limit caps each replay's cycles (0 = RunTrace default).
 	Limit int64
 	Seed  int64
-	// Workers sizes the pool the (benchmark x config) replays fan out
-	// over; values below 1 use one worker per core.
-	Workers int
-	// Progress, when non-nil, receives (completed, total) replay counts.
-	Progress func(done, total int)
 }
 
 // SplashRow holds one benchmark's results across every configuration,
@@ -202,9 +190,10 @@ func (r SplashRow) Speedup(cfg string) float64 {
 // Splash generates each benchmark's trace once and replays it on the
 // Electrical3 baseline plus every Fig. 10 configuration. Trace generation
 // fans out per benchmark and the (benchmark x config) replays fan out as
-// one flat grid; each replay builds its own network and only reads the
+// one flat grid, both on engine's workers; engine's progress counts the
+// replays only. Each replay builds its own network and only reads the
 // shared trace, so results match a serial run exactly.
-func Splash(opts SplashOpts) ([]SplashRow, error) {
+func Splash(opts SplashOpts, engine exp.Options) ([]SplashRow, error) {
 	var benches []coherence.Params
 	for _, p := range coherence.Benchmarks() {
 		if !selected(p.Name, opts.Benchmarks) {
@@ -215,8 +204,6 @@ func Splash(opts SplashOpts) ([]SplashRow, error) {
 		}
 		benches = append(benches, p)
 	}
-	engine := exp.Options{Workers: opts.Workers}
-
 	type traceOut struct {
 		tr  *trace.Trace
 		err error
@@ -224,7 +211,7 @@ func Splash(opts SplashOpts) ([]SplashRow, error) {
 	traces := exp.Run(benches, func(_ int, p coherence.Params) traceOut {
 		tr, err := coherence.GenerateTrace(p, coherence.DefaultConfig(), opts.Seed+11)
 		return traceOut{tr, err}
-	}, engine)
+	}, exp.Options{Workers: engine.Workers})
 	for i, tout := range traces {
 		if tout.err != nil {
 			return nil, fmt.Errorf("%s: %w", benches[i].Name, tout.err)
@@ -243,7 +230,6 @@ func Splash(opts SplashOpts) ([]SplashRow, error) {
 		res sim.Result
 		err error
 	}
-	engine.Progress = opts.Progress
 	replays := exp.Run(jobs, func(_ int, j job) replayOut {
 		cfg := configs[j.ci]
 		res, err := sim.RunTrace(cfg.Build(opts.Seed+3), traces[j.bi].tr, sim.ReplayConfig{Limit: opts.Limit})

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"phastlane/internal/exp"
 	"phastlane/internal/sim"
 )
 
@@ -85,7 +86,7 @@ func TestFig9Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res := Fig9(Fig9Opts{Rates: []float64{0.02}, Warmup: 100, Measure: 500, Seed: 3})
+	res := Fig9(Fig9Opts{Rates: []float64{0.02}, Warmup: 100, Measure: 500, Seed: 3}, exp.Options{})
 	if len(res) != 4 {
 		t.Fatalf("Fig9 returned %d patterns", len(res))
 	}
@@ -114,7 +115,7 @@ func TestFig9Shape(t *testing.T) {
 // Fig. 9's early exit: every curve keeps its first saturated point and
 // stops there, so the easy rate placed after it never runs.
 func TestFig9StopsAtFirstSaturatedRate(t *testing.T) {
-	res := Fig9(Fig9Opts{Rates: []float64{0.05, 0.45, 0.02}, Warmup: 150, Measure: 500, Seed: 3})
+	res := Fig9(Fig9Opts{Rates: []float64{0.05, 0.45, 0.02}, Warmup: 150, Measure: 500, Seed: 3}, exp.Options{})
 	curves := 0
 	for _, r := range res {
 		for _, c := range r.Curves {
@@ -140,7 +141,7 @@ func TestSplashShape(t *testing.T) {
 		Benchmarks: []string{"Water-Spatial", "FMM"},
 		Messages:   4000,
 		Seed:       5,
-	})
+	}, exp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestCompareShape(t *testing.T) {
 	}
 	results, err := Compare(CompareOpts{
 		Rates: []float64{0.02}, Measure: 600, Messages: 2500, Seed: 9,
-	})
+	}, exp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +282,7 @@ func TestSensitivitySweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	pts, err := Sensitivity(SensitivityOpts{Messages: 2000, Seed: 3})
+	pts, err := Sensitivity(SensitivityOpts{Messages: 2000, Seed: 3}, exp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,42 +28,36 @@ const (
 	// saturation cliff.
 	ModeNone = "none"
 	// ModeStatic is the static backoff baseline: every sender is paced
-	// by a fixed token bucket at GovernedOpts.StaticRate, regardless of
-	// what the network reports back.
+	// by a fixed token bucket at StaticRate, regardless of what the
+	// network reports back.
 	ModeStatic = "static"
 	// ModeAIMD is the closed loop: cc.DefaultConfig delay-gradient AIMD
 	// senders.
 	ModeAIMD = "aimd"
 )
 
+// The sweep's grid. Configs are the degradation study's pair. Uniform
+// traffic shows the cliff as a latency-tail explosion; BitComp is the
+// adversarial permutation where the optical retry churn produces genuine
+// congestion collapse (delivered throughput falls as offered load rises),
+// the regime the governor exists for. The rates span the healthy region
+// through the cliff (8x8 uniform knee ~0.45).
+var (
+	GovernedConfigs  = []string{"Optical4", "Electrical3"}
+	GovernedPatterns = []string{"Uniform", "BitComp"}
+	GovernedRates    = []float64{0.30, 0.40, 0.50, 0.60, 0.70}
+)
+
+// StaticRate is the static-backoff baseline's fixed cap: the
+// conservative below-knee rate an operator would provision without
+// feedback.
+const StaticRate = 0.30
+
 // GovernedOpts controls the sweep.
 type GovernedOpts struct {
-	// Configs selects the network variants (default Optical4 and
-	// Electrical3, the same pair as the degradation study).
-	Configs []string
-	// Patterns selects the traffic patterns by name. The default runs
-	// Uniform — where the cliff shows as a latency-tail explosion — and
-	// BitComp, the adversarial permutation where the optical retry
-	// churn produces genuine congestion collapse (delivered throughput
-	// falls as offered load rises), the regime the governor exists for.
-	Patterns []string
-	// Rates is the offered-load grid; the default spans the healthy
-	// region through the cliff (8x8 uniform knee ~0.45): 0.30, 0.40,
-	// 0.50, 0.60, 0.70.
-	Rates []float64
-	// StaticRate is the fixed cap of the static-backoff baseline
-	// (default 0.30 — the conservative below-knee rate an operator
-	// would provision without feedback).
-	StaticRate float64
-	// Warmup and Measure cycles per point; values below 1 use 300 and
-	// 2000.
+	// Warmup and Measure cycles per point; zero uses RunRate's defaults.
 	Warmup, Measure int
 	Seed            int64
-	// Workers sizes the pool the points fan out over; values below 1
-	// use one worker per core. Results are identical for any count.
-	Workers int
-	// Progress, when non-nil, receives (completed, total) point counts.
-	Progress func(done, total int)
 }
 
 // GovernedPoint is one (config, pattern, mode, rate) outcome.
@@ -97,8 +91,6 @@ type GovernedPoint struct {
 	Saturated bool `json:"saturated"`
 }
 
-const defaultStaticRate = 0.30
-
 // staticGovernor builds the static-backoff discipline: the cc machinery
 // with a degenerate tuning — InitRate == MinRate == MaxRate == the cap —
 // so both governed modes pay the identical token-bucket admission path
@@ -127,48 +119,11 @@ func JainFairness(delivered []int64) float64 {
 	return sum * sum / (float64(len(delivered)) * sumSq)
 }
 
-// Resolved returns opts with every unset field at its documented
-// default. Governed runs the resolved options, so a report built from
-// them records what ran.
-func (opts GovernedOpts) Resolved() GovernedOpts {
-	if len(opts.Configs) == 0 {
-		opts.Configs = []string{"Optical4", "Electrical3"}
-	}
-	if len(opts.Patterns) == 0 {
-		opts.Patterns = []string{"Uniform", "BitComp"}
-	}
-	if len(opts.Rates) == 0 {
-		opts.Rates = []float64{0.30, 0.40, 0.50, 0.60, 0.70}
-	}
-	if opts.StaticRate == 0 {
-		opts.StaticRate = defaultStaticRate
-	}
-	if opts.Warmup <= 0 {
-		opts.Warmup = 300
-	}
-	if opts.Measure <= 0 {
-		opts.Measure = 2000
-	}
-	return opts
-}
-
-// Governed runs the sweep and returns all points in a stable (config,
-// pattern, mode, rate) order. Every point builds a fresh network, pattern
-// and governor, so two runs with the same options are bit-identical
-// regardless of worker count. An unknown config or pattern name is an
-// error, returned before any point runs.
-func Governed(opts GovernedOpts) ([]GovernedPoint, error) {
-	opts = opts.Resolved()
-	for _, c := range opts.Configs {
-		if c != "Optical4" && c != "Electrical3" {
-			return nil, fmt.Errorf("unknown config %q (want Optical4 or Electrical3)", c)
-		}
-	}
-	for _, p := range opts.Patterns {
-		if _, err := PatternByName(p, 64, opts.Seed); err != nil {
-			return nil, err
-		}
-	}
+// Governed runs the sweep on engine and returns all points in a stable
+// (config, pattern, mode, rate) order. Every point builds a fresh network,
+// pattern and governor, so two runs with the same options are
+// bit-identical regardless of worker count.
+func Governed(opts GovernedOpts, engine exp.Options) []GovernedPoint {
 	type job struct {
 		config  string
 		pattern string
@@ -176,27 +131,27 @@ func Governed(opts GovernedOpts) ([]GovernedPoint, error) {
 		rate    float64
 	}
 	var jobs []job
-	for _, config := range opts.Configs {
-		for _, pattern := range opts.Patterns {
+	for _, config := range GovernedConfigs {
+		for _, pattern := range GovernedPatterns {
 			for _, mode := range []string{ModeNone, ModeStatic, ModeAIMD} {
-				for _, rate := range opts.Rates {
+				for _, rate := range GovernedRates {
 					jobs = append(jobs, job{config, pattern, mode, rate})
 				}
 			}
 		}
 	}
-	pts := exp.Run(jobs, func(ji int, j job) GovernedPoint {
+	return exp.Run(jobs, func(ji int, j job) GovernedPoint {
 		net := degradationNet(j.config, nil, opts.Seed+7)
 		var gov *cc.Governor
 		switch j.mode {
 		case ModeStatic:
-			gov = staticGovernor(opts.StaticRate, net.Nodes(), exp.DeriveSeed(opts.Seed, uint64(ji)))
+			gov = staticGovernor(StaticRate, net.Nodes(), exp.DeriveSeed(opts.Seed, uint64(ji)))
 		case ModeAIMD:
 			cfg := cc.DefaultConfig()
 			cfg.Seed = exp.DeriveSeed(opts.Seed, uint64(ji))
 			gov = cc.New(cfg, net.Nodes())
 		}
-		// The names were validated above.
+		// The grid's pattern names are all known.
 		pattern, _ := PatternByName(j.pattern, net.Nodes(), exp.DeriveSeed(opts.Seed, uint64(ji)*64+32))
 		r := sim.RunRate(net, sim.RateConfig{
 			Pattern: pattern,
@@ -221,8 +176,7 @@ func Governed(opts GovernedOpts) ([]GovernedPoint, error) {
 			pt.CCRate = gov.MeanRate()
 		}
 		return pt
-	}, exp.Options{Workers: opts.Workers, Progress: opts.Progress})
-	return pts, nil
+	}, engine)
 }
 
 // GovernedTable renders the sweep in long form, one row per point.
@@ -283,14 +237,16 @@ func governedSeries(config, pattern string, pts []GovernedPoint, title, ylabel s
 	return p
 }
 
+// The recovery study's load and fault: offered 0.25, past the healthy
+// knee so the governor is actively governing when the links die, and 6
+// of the 8x8 mesh's 8 vertical-bisection links dead mid-run.
+const (
+	recoveryRate      = 0.25
+	recoveryDeadLinks = 6
+)
+
 // RecoveryOpts controls the fault back-off/re-convergence study.
 type RecoveryOpts struct {
-	// Rate is the offered load (default 0.25 — past the healthy knee,
-	// so the governor is actively governing when the links die).
-	Rate float64
-	// DeadLinks is how many vertical-bisection links die mid-run
-	// (default 6 of the 8x8 mesh's 8).
-	DeadLinks int
 	// Warmup and Measure cycles (defaults 300 and 6000; the fault
 	// window and heal need room inside the measure phase).
 	Warmup, Measure int
@@ -317,17 +273,11 @@ type RecoveryResult struct {
 }
 
 // GovernedRecovery runs the AIMD governor on the optical mesh through a
-// mid-run dead-link fault window — DeadLinks vertical bisection links go
-// down together, then heal — and returns the rate history: the
+// mid-run dead-link fault window — recoveryDeadLinks vertical bisection
+// links go down together, then heal — and returns the rate history: the
 // population backs off while the fabric is degraded and re-converges
 // after it heals. Deterministic for fixed opts.
 func GovernedRecovery(opts RecoveryOpts) RecoveryResult {
-	if opts.Rate == 0 {
-		opts.Rate = 0.25
-	}
-	if opts.DeadLinks == 0 {
-		opts.DeadLinks = 6
-	}
 	if opts.Warmup == 0 {
 		opts.Warmup = 300
 	}
@@ -338,7 +288,7 @@ func GovernedRecovery(opts RecoveryOpts) RecoveryResult {
 	from := int64(opts.Warmup) + total/3
 	until := int64(opts.Warmup) + 2*total/3
 	plan := &fault.Plan{}
-	for i := 0; i < opts.DeadLinks && i < 8; i++ {
+	for i := 0; i < recoveryDeadLinks; i++ {
 		// East links out of column 3: the 8x8 mesh's vertical bisection.
 		plan.Faults = append(plan.Faults, fault.Fault{
 			Kind: fault.DeadLink,
@@ -354,7 +304,7 @@ func GovernedRecovery(opts RecoveryOpts) RecoveryResult {
 	gov := cc.New(ccCfg, net.Nodes())
 	r := sim.RunRate(net, sim.RateConfig{
 		Pattern: traffic.UniformRandom(net.Nodes(), exp.DeriveSeed(opts.Seed, 2)),
-		Rate:    opts.Rate,
+		Rate:    recoveryRate,
 		Warmup:  opts.Warmup, Measure: opts.Measure,
 		Seed: opts.Seed,
 		CC:   gov,
@@ -393,6 +343,13 @@ func GovernedRecovery(opts RecoveryOpts) RecoveryResult {
 		res.PostRate = postSum / float64(postN)
 	}
 	return res
+}
+
+// RecoverySummary is the study's one-line outcome: the three phase
+// rates and the run's delivered and lost counts.
+func RecoverySummary(r RecoveryResult) string {
+	return fmt.Sprintf("recovery: rate %.4f pre-fault -> %.4f with %d bisection links dead -> %.4f after heal (%d delivered, %d lost)\n",
+		r.PreRate, r.FaultRate, recoveryDeadLinks, r.PostRate, r.Delivered, r.Lost)
 }
 
 // RecoveryPlot renders the governor's mean admitted rate over the run,

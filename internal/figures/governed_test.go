@@ -2,8 +2,9 @@ package figures
 
 import (
 	"reflect"
-	"strings"
 	"testing"
+
+	"phastlane/internal/exp"
 )
 
 // TestJainFairness checks the index at its anchor points: uniform
@@ -20,39 +21,29 @@ func TestJainFairness(t *testing.T) {
 	}
 }
 
-// governedSmallOpts is a cut-down sweep for determinism tests: one
-// config, one pattern, two rates, short cycles.
-func governedSmallOpts(workers int) GovernedOpts {
-	return GovernedOpts{
-		Configs: []string{"Optical4"}, Patterns: []string{"Uniform"},
-		Rates:  []float64{0.30, 0.60},
-		Warmup: 50, Measure: 300, Seed: 3, Workers: workers,
-	}
-}
+// governedShort runs the study's grid at short phases for tests.
+var governedShort = GovernedOpts{Warmup: 50, Measure: 150, Seed: 3}
 
 // TestGovernedWorkerIndependence checks the study's reproducibility
 // contract: one worker and eight workers produce DeepEqual point sets.
 func TestGovernedWorkerIndependence(t *testing.T) {
-	a, errA := Governed(governedSmallOpts(1))
-	b, errB := Governed(governedSmallOpts(8))
-	if errA != nil || errB != nil {
-		t.Fatal(errA, errB)
-	}
+	a := Governed(governedShort, exp.Options{Workers: 1})
+	b := Governed(governedShort, exp.Options{Workers: 8})
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("worker counts diverged:\nw=1: %+v\nw=8: %+v", a, b)
 	}
 }
 
 // TestGovernedSweepShape checks the point grid and mode behaviours: all
-// (pattern, mode, rate) combinations present in stable order, governed
-// modes report an admitted rate, only governed modes pace.
+// (config, pattern, mode, rate) combinations present in stable order,
+// governed modes report an admitted rate, only governed modes pace.
 func TestGovernedSweepShape(t *testing.T) {
-	pts, err := Governed(governedSmallOpts(0))
-	if err != nil {
-		t.Fatal(err)
+	pts := Governed(governedShort, exp.Options{})
+	if len(pts) != 60 { // 2 configs x 2 patterns x 3 modes x 5 rates
+		t.Fatalf("got %d points, want 60", len(pts))
 	}
-	if len(pts) != 6 { // 1 config x 1 pattern x 3 modes x 2 rates
-		t.Fatalf("got %d points, want 6", len(pts))
+	if p := pts[len(pts)-1]; p.Config != "Electrical3" || p.Pattern != "BitComp" || p.Mode != ModeAIMD || p.Rate != 0.70 {
+		t.Fatalf("last point %s/%s/%s/%v, want Electrical3/BitComp/aimd/0.7", p.Config, p.Pattern, p.Mode, p.Rate)
 	}
 	for _, p := range pts {
 		switch p.Mode {
@@ -73,36 +64,10 @@ func TestGovernedSweepShape(t *testing.T) {
 		}
 	}
 	// Static pacing at 2x its cap must actually decline injections.
-	var staticPaced int64
 	for _, p := range pts {
-		if p.Mode == ModeStatic && p.Rate == 0.60 {
-			staticPaced = p.Paced
+		if p.Mode == ModeStatic && p.Rate == 0.60 && p.Paced == 0 {
+			t.Fatalf("%s/%s: static cap 0.30 at offered 0.60 paced nothing", p.Config, p.Pattern)
 		}
-	}
-	if staticPaced == 0 {
-		t.Fatal("static cap 0.30 at offered 0.60 paced nothing")
-	}
-}
-
-// TestGovernedRejectsUnknownNames checks that a bad config or pattern
-// name is an error naming it, returned before any point runs.
-func TestGovernedRejectsUnknownNames(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		edit func(*GovernedOpts)
-	}{
-		{"config", func(o *GovernedOpts) { o.Configs = append(o.Configs, "Foo") }},
-		{"pattern", func(o *GovernedOpts) { o.Patterns = append(o.Patterns, "Foo") }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			opts := governedSmallOpts(1)
-			opts.Progress = func(done, total int) { t.Errorf("point %d of %d ran", done, total) }
-			tc.edit(&opts)
-			pts, err := Governed(opts)
-			if err == nil || !strings.Contains(err.Error(), `"Foo"`) {
-				t.Fatalf("got %d points, error %v; want an error naming \"Foo\"", len(pts), err)
-			}
-		})
 	}
 }
 

@@ -21,11 +21,6 @@ type SensitivityOpts struct {
 	Benchmark string
 	Messages  int
 	Seed      int64
-	// Workers sizes the pool the knob settings fan out over; values
-	// below 1 use one worker per core.
-	Workers int
-	// Progress, when non-nil, receives (completed, total) point counts.
-	Progress func(done, total int)
 }
 
 // SensitivityPoint is one knob setting's outcome.
@@ -87,9 +82,9 @@ func sensitivityJobs() []sensitivityJob {
 
 // Sensitivity runs the one-at-a-time sweeps and returns all points,
 // grouped by knob in a stable order. The knob settings are independent
-// replays of one shared trace, so they fan out over the exp worker pool;
-// each point builds its own network from a fresh config.
-func Sensitivity(opts SensitivityOpts) ([]SensitivityPoint, error) {
+// replays of one shared trace, so they fan out over engine; each point
+// builds its own network from a fresh config.
+func Sensitivity(opts SensitivityOpts, engine exp.Options) ([]SensitivityPoint, error) {
 	if opts.Benchmark == "" {
 		opts.Benchmark = "Barnes"
 	}
@@ -119,7 +114,7 @@ func Sensitivity(opts SensitivityOpts) ([]SensitivityPoint, error) {
 			Drops:   res.Run.Drops,
 			PowerW:  res.Run.PowerW(photonic.DefaultClockGHz),
 		}}
-	}, exp.Options{Workers: opts.Workers, Progress: opts.Progress})
+	}, engine)
 	pts := make([]SensitivityPoint, 0, len(results))
 	for _, o := range results {
 		if o.err != nil {

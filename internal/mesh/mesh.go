@@ -284,13 +284,6 @@ func (m *Mesh) RouteNodes(src, dst NodeID) []NodeID {
 	return nodes
 }
 
-// MaxRouteGroups returns the largest number of routers a dimension-order
-// route can visit, destination included: (width-1)+(height-1)+1. For the 8x8
-// mesh this is 15; the paper's 14 control groups cover the up-to-14 routers
-// a packet can traverse after leaving the source router, plus the source
-// router's own group consumed at injection.
-func (m *Mesh) MaxRouteGroups() int { return m.width + m.height - 1 }
-
 func abs(v int) int {
 	if v < 0 {
 		return -v

@@ -194,12 +194,6 @@ func TestRouteNodesEndpoints(t *testing.T) {
 	}
 }
 
-func TestMaxRouteGroups8x8(t *testing.T) {
-	if got := New(8, 8).MaxRouteGroups(); got != 15 {
-		t.Errorf("MaxRouteGroups = %d, want 15 (14 control groups + source)", got)
-	}
-}
-
 // Property: routes are minimal (length == Manhattan distance), X-then-Y
 // ordered, and land on the destination.
 func TestRouteProperties(t *testing.T) {

@@ -1,6 +1,10 @@
 package provenance
 
-import "sort"
+import (
+	"sort"
+
+	"phastlane/internal/exp"
+)
 
 // tailEntry orders one retained packet inside the reservoir.
 type tailEntry struct {
@@ -21,15 +25,6 @@ type tailReservoir struct {
 	h    []tailEntry
 }
 
-// mix64 is the splitmix64 finalizer, the same mixing function the exp
-// engine uses for per-point seed derivation.
-func mix64(v uint64) uint64 {
-	v += 0x9e3779b97f4a7c15
-	v = (v ^ (v >> 30)) * 0xbf58476d1ce4e5b9
-	v = (v ^ (v >> 27)) * 0x94d049bb133111eb
-	return v ^ (v >> 31)
-}
-
 // less reports whether a orders strictly before b (a is faster, so a is
 // evicted first). Ties in latency break by seeded hash, then by ID, so
 // the order is total and deterministic.
@@ -47,7 +42,7 @@ func less(a, b tailEntry) bool {
 // released — l itself when it was not slow enough, the evicted previous
 // occupant when l displaced it, nil when the reservoir had room.
 func (r *tailReservoir) offer(l *packetLog) *packetLog {
-	e := tailEntry{lat: l.latency, tie: mix64(uint64(r.seed) ^ l.id), log: l}
+	e := tailEntry{lat: l.latency, tie: exp.Mix64(uint64(r.seed) ^ l.id), log: l}
 	if len(r.h) < r.k {
 		r.h = append(r.h, e)
 		r.siftUp(len(r.h) - 1)

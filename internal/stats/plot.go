@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -141,9 +140,4 @@ func writeCSVRow(b *strings.Builder, cells []string) {
 		b.WriteString(c)
 	}
 	b.WriteByte('\n')
-}
-
-// SortSeriesByLabel orders series alphabetically for stable legends.
-func SortSeriesByLabel(series []Series) {
-	sort.Slice(series, func(i, j int) bool { return series[i].Label < series[j].Label })
 }

@@ -79,11 +79,3 @@ func TestCSV(t *testing.T) {
 		t.Errorf("CSV = %q, want %q", csv, want)
 	}
 }
-
-func TestSortSeriesByLabel(t *testing.T) {
-	s := []Series{{Label: "b"}, {Label: "a"}}
-	SortSeriesByLabel(s)
-	if s[0].Label != "a" {
-		t.Error("not sorted")
-	}
-}

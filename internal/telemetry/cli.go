@@ -9,8 +9,8 @@ import (
 // CLI is the shared command-line surface of the telemetry layer. Long-
 // running commands register it with RegisterFlags; single-run commands
 // then build the full bundle with StartRun, while the study commands
-// (reproduce, inspect, faults, congestion) call Start directly with just the address (endpoint and process
-// metrics, no per-run counters).
+// (reproduce, inspect) call Start directly with just the address
+// (endpoint and process metrics, no per-run counters).
 type CLI struct {
 	// Addr is -telemetry-addr: serve /metrics, /telemetry.json and
 	// /debug/pprof/ on this address ("" = off, ":0" = any free port).

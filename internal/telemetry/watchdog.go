@@ -18,8 +18,8 @@ func (t Trip) String() string {
 
 // Watchdog audits the simulation's conservation laws at flight-recorder
 // flush boundaries (never per cycle). A tripped check is recorded,
-// stamped into the flight record by the Run driving it, passed to
-// OnTrip, and — with Abort set — panics, turning silent corruption of a
+// stamped into the flight record by the Run driving it, and — with
+// Abort set — panics, turning silent corruption of a
 // multi-billion-cycle run into an immediate, diagnosable stop.
 //
 // Checks: message conservation (delivered + lost + in-flight ==
@@ -28,8 +28,6 @@ func (t Trip) String() string {
 type Watchdog struct {
 	// Abort panics on the first trip when set.
 	Abort bool
-	// OnTrip, when non-nil, is called synchronously for every trip.
-	OnTrip func(Trip)
 
 	mu    sync.Mutex
 	trips []Trip
@@ -41,9 +39,6 @@ func (w *Watchdog) trip(cycle int64, name, detail string) Trip {
 	w.mu.Lock()
 	w.trips = append(w.trips, t)
 	w.mu.Unlock()
-	if w.OnTrip != nil {
-		w.OnTrip(t)
-	}
 	if w.Abort {
 		panic("telemetry: watchdog abort: " + t.String())
 	}

@@ -3,6 +3,7 @@ package topo
 import (
 	"fmt"
 
+	"phastlane/internal/exp"
 	"phastlane/internal/mesh"
 )
 
@@ -62,19 +63,11 @@ func expand(j, beta, bit int) int {
 	return (j>>beta)<<(beta+1) | bit<<beta | j&(1<<beta-1)
 }
 
-// mix64 is a splitmix64 finaliser; the free-stage spreading bits of the
-// (src, dst) route are drawn from it so repeated routes stay identical
-// while distinct pairs scatter across the middle stages.
-func mix64(v uint64) uint64 {
-	v += 0x9e3779b97f4a7c15
-	v = (v ^ v>>30) * 0xbf58476d1ce4e5b9
-	v = (v ^ v>>27) * 0x94d049bb133111eb
-	return v ^ v>>31
-}
-
-// freeBit is the spreading choice at free stage s (s < k-1).
+// freeBit is the spreading choice at free stage s (s < k-1), drawn from
+// a hash of the (src, dst) pair so repeated routes stay identical while
+// distinct pairs scatter across the middle stages.
 func (t *Benes) freeBit(src, dst mesh.NodeID, s int) int {
-	return int(mix64(uint64(src)*uint64(t.n)+uint64(dst)) >> uint(s) & 1)
+	return int(exp.Mix64(uint64(src)*uint64(t.n)+uint64(dst)) >> uint(s) & 1)
 }
 
 // Name returns "benes".
