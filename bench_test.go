@@ -382,6 +382,7 @@ func BenchmarkTraceGeneration(b *testing.B) {
 		b.Fatal(err)
 	}
 	p.Messages = 2000
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := coherence.GenerateTrace(p, coherence.DefaultConfig(), int64(i)); err != nil {

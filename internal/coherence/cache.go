@@ -17,7 +17,10 @@
 // and writebacks, with per-core dependency chains pacing injection.
 package coherence
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config describes the per-node cache hierarchy and memory, matching the
 // paper's simulated parameters (Table 4).
@@ -59,6 +62,12 @@ func (c Config) Validate() error {
 		if g.size < 1 || g.ways < 1 || g.block < 1 {
 			return fmt.Errorf("coherence: %s geometry %d/%d/%d", g.name, g.size, g.ways, g.block)
 		}
+		if g.block&(g.block-1) != 0 {
+			return fmt.Errorf("coherence: %s block of %d B not a power of two", g.name, g.block)
+		}
+		if g.ways > maxWays {
+			return fmt.Errorf("coherence: %s has %d ways, more than %d", g.name, g.ways, maxWays)
+		}
 		sets := g.size / (g.ways * g.block)
 		if sets < 1 || sets&(sets-1) != 0 {
 			return fmt.Errorf("coherence: %s set count %d not a power of two", g.name, sets)
@@ -79,102 +88,126 @@ const (
 	modified
 )
 
-// way is one cache way.
-type way struct {
-	tag   uint64
-	state lineState
-	used  uint64 // LRU timestamp
-}
+// maxWays is the most ways a set can hold: its recency word has one 4-bit
+// field per way.
+const maxWays = 16
 
-// cache is a set-associative, write-back, LRU cache.
+// cache is a set-associative, write-back, LRU cache in two flat tables.
+// keys[set*ways+w] is way w's line number (address >> blockBits, which must
+// be below 2^62) shifted left by two and or'd with its lineState; a way
+// whose state is invalid is free. lru[set] is the set's recency word:
+// field i (bits 4i to 4i+3) names a way, from the least recently used in
+// field 0 to the most recently used in field ways-1. A hit, a fill or a
+// setState moves its way to the top field; an invalidation leaves the
+// word alone.
 type cache struct {
-	sets      [][]way
+	keys      []uint64
+	lru       []uint64
+	ways      int
 	blockBits uint
-	setBits   uint
 	setMask   uint64
-	tick      uint64
 }
 
-// newCache builds a cache from size/ways/block geometry.
+// newCache builds a cache from size/ways/block geometry; Config.Validate
+// admits only geometries it models: power-of-two block and set counts and
+// at most maxWays ways.
 func newCache(sizeBytes, ways, blockBytes int) *cache {
 	sets := sizeBytes / (ways * blockBytes)
 	c := &cache{
-		sets:    make([][]way, sets),
-		setMask: uint64(sets - 1),
+		keys:      make([]uint64, sets*ways),
+		lru:       make([]uint64, sets),
+		ways:      ways,
+		blockBits: uint(bits.TrailingZeros(uint(blockBytes))),
+		setMask:   uint64(sets - 1),
 	}
-	for b := blockBytes; b > 1; b >>= 1 {
-		c.blockBits++
+	var word uint64
+	for w := 0; w < ways; w++ {
+		word |= uint64(w) << (4 * w)
 	}
-	for m := c.setMask; m > 0; m >>= 1 {
-		c.setBits++
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]way, ways)
+	for s := range c.lru {
+		c.lru[s] = word
 	}
 	return c
 }
 
-// index returns the set slice and tag for an address.
-func (c *cache) index(addr uint64) ([]way, uint64) {
+// find returns addr's set and the index into keys of the way holding it,
+// or -1.
+func (c *cache) find(addr uint64) (set, at int) {
 	line := addr >> c.blockBits
-	return c.sets[line&c.setMask], line >> c.setBits
-}
-
-// lookup returns the way holding addr, or nil. It refreshes LRU state on a
-// hit.
-func (c *cache) lookup(addr uint64) *way {
-	set, tag := c.index(addr)
-	for i := range set {
-		if set[i].state != invalid && set[i].tag == tag {
-			c.tick++
-			set[i].used = c.tick
-			return &set[i]
+	set = int(line & c.setMask)
+	base := set * c.ways
+	for i, k := range c.keys[base : base+c.ways] {
+		if k>>2 == line && k&3 != uint64(invalid) {
+			return set, base + i
 		}
 	}
-	return nil
+	return set, -1
 }
 
-// insert fills addr into its set, evicting the LRU way. It returns the
-// victim's line address and state (victim.state == invalid when the slot
-// was free).
+// touch makes way w the most recently used of set.
+func (c *cache) touch(set, w int) {
+	word := c.lru[set]
+	// x's fields are zero exactly where word names w. Subtracting 1 from
+	// every field flags a zero field's top bit; the borrow out of it can
+	// flag fields above it too, but none below, so the lowest flag is w's.
+	x := word ^ (0x1111_1111_1111_1111 * uint64(w))
+	pos := uint(bits.TrailingZeros64((x-0x1111_1111_1111_1111)&^x&0x8888_8888_8888_8888)) &^ 3
+	below := word & (1<<pos - 1)
+	c.lru[set] = below | word>>(pos+4)<<pos | uint64(w)<<(4*uint(c.ways-1))
+}
+
+// lookup returns addr's state, invalid when it is absent. It refreshes LRU
+// state on a hit.
+func (c *cache) lookup(addr uint64) lineState {
+	set, at := c.find(addr)
+	if at < 0 {
+		return invalid
+	}
+	c.touch(set, at-set*c.ways)
+	return lineState(c.keys[at] & 3)
+}
+
+// insert fills addr into its set, evicting the first free way in index
+// order or else the least recently used one. It returns the victim's line
+// address and state (victimState == invalid when the way was free).
 func (c *cache) insert(addr uint64, st lineState) (victimAddr uint64, victimState lineState) {
-	set, tag := c.index(addr)
-	lru := 0
-	for i := range set {
-		if set[i].state == invalid {
-			lru = i
+	line := addr >> c.blockBits
+	set := int(line & c.setMask)
+	base := set * c.ways
+	w := -1
+	for i, k := range c.keys[base : base+c.ways] {
+		if k&3 == uint64(invalid) {
+			w = i
 			break
 		}
-		if set[i].used < set[lru].used {
-			lru = i
-		}
 	}
-	victimState = set[lru].state
-	if victimState != invalid {
-		victimAddr = ((set[lru].tag << c.setBits) | (addr >> c.blockBits & c.setMask)) << c.blockBits
+	if w < 0 {
+		w = int(c.lru[set] & 15)
+		victim := c.keys[base+w]
+		victimAddr, victimState = victim>>2<<c.blockBits, lineState(victim&3)
 	}
-	c.tick++
-	set[lru] = way{tag: tag, state: st, used: c.tick}
+	c.keys[base+w] = line<<2 | uint64(st)
+	c.touch(set, w)
 	return victimAddr, victimState
 }
 
 // invalidate drops addr if present, returning its previous state.
 func (c *cache) invalidate(addr uint64) lineState {
-	set, tag := c.index(addr)
-	for i := range set {
-		if set[i].state != invalid && set[i].tag == tag {
-			st := set[i].state
-			set[i].state = invalid
-			return st
-		}
+	_, at := c.find(addr)
+	if at < 0 {
+		return invalid
 	}
-	return invalid
+	st := lineState(c.keys[at] & 3)
+	c.keys[at] = 0
+	return st
 }
 
-// setState updates the state of a resident line; it is a no-op when the
-// line is absent.
+// setState updates the state of a resident line and refreshes its LRU
+// state; it is a no-op when the line is absent.
 func (c *cache) setState(addr uint64, st lineState) {
-	if w := c.lookup(addr); w != nil {
-		w.state = st
+	set, at := c.find(addr)
+	if at >= 0 {
+		c.keys[at] = c.keys[at]&^3 | uint64(st)
+		c.touch(set, at-set*c.ways)
 	}
 }

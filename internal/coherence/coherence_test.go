@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -9,14 +10,14 @@ import (
 
 func TestCacheHitMiss(t *testing.T) {
 	c := newCache(1024, 2, 64) // 8 sets x 2 ways
-	if c.lookup(0) != nil {
+	if c.lookup(0) != invalid {
 		t.Fatal("empty cache hit")
 	}
 	c.insert(0, shared)
-	if c.lookup(0) == nil {
+	if c.lookup(0) == invalid {
 		t.Fatal("miss after insert")
 	}
-	if c.lookup(64) != nil {
+	if c.lookup(64) != invalid {
 		t.Fatal("different line hit")
 	}
 }
@@ -30,10 +31,10 @@ func TestCacheLRUEviction(t *testing.T) {
 	if st != shared || victim != 512 {
 		t.Fatalf("evicted (%d,%v), want (512,shared)", victim, st)
 	}
-	if c.lookup(0) == nil || c.lookup(1024) == nil {
+	if c.lookup(0) == invalid || c.lookup(1024) == invalid {
 		t.Fatal("survivors missing")
 	}
-	if c.lookup(512) != nil {
+	if c.lookup(512) != invalid {
 		t.Fatal("victim still resident")
 	}
 }
@@ -44,7 +45,7 @@ func TestCacheInvalidate(t *testing.T) {
 	if st := c.invalidate(128); st != modified {
 		t.Fatalf("invalidate returned %v", st)
 	}
-	if c.lookup(128) != nil {
+	if c.lookup(128) != invalid {
 		t.Fatal("line survived invalidation")
 	}
 	if st := c.invalidate(128); st != invalid {
@@ -56,7 +57,7 @@ func TestCacheSetState(t *testing.T) {
 	c := newCache(1024, 2, 64)
 	c.insert(0, modified)
 	c.setState(0, shared)
-	if w := c.lookup(0); w == nil || w.state != shared {
+	if c.lookup(0) != shared {
 		t.Fatal("setState did not downgrade")
 	}
 	c.setState(999999, modified) // absent: no-op, no panic
@@ -66,15 +67,26 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config: %v", err)
 	}
-	bad := DefaultConfig()
-	bad.L2SizeBytes = 100 // not a power-of-two set count
-	if err := bad.Validate(); err == nil {
-		t.Error("bad L2 geometry accepted")
-	}
-	bad = DefaultConfig()
-	bad.Cores = 1
-	if err := bad.Validate(); err == nil {
-		t.Error("1-core system accepted")
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"L2 set count not a power of two", func(c *Config) { c.L2SizeBytes = 100 }},
+		{"1-core system", func(c *Config) { c.Cores = 1 }},
+		// 256 sets of 48 B blocks: the set count is a power of two, but
+		// the cache indexes by address bits and would model 32 B blocks.
+		{"L1 48 B blocks", func(c *Config) { c.L1BlockBytes, c.L1SizeBytes = 48, 48*4*256 }},
+		{"L2 48 B blocks", func(c *Config) { c.L2BlockBytes, c.L2SizeBytes = 48, 48*16*256 }},
+		// 32 ways at a power-of-two set count: more than a recency word
+		// holds.
+		{"L1 32 ways", func(c *Config) { c.L1Ways = 32 }},
+		{"L2 32 ways", func(c *Config) { c.L2Ways = 32 }},
+	} {
+		bad := DefaultConfig()
+		tc.edit(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
@@ -359,60 +371,91 @@ func TestWarmupCreatesCacheToCacheTransfers(t *testing.T) {
 }
 
 // checkMSIInvariants verifies the single-writer/multiple-reader property
-// over the generator's MSI tables and per-core caches. It checks the lines
-// some L2 holds, walking each core's resident lines, and then every line
-// with an owner; the owner column is the only table it scans whole.
+// over the generator's MSI tables and per-core caches, and that each row's
+// sharer set is exactly the cores whose L2 holds the line: every resident
+// line is a sharer and every sharer bit has a resident line. It walks each
+// core's resident lines into a sharer table of its own, then compares the
+// owner column and the sharer table whole.
 func checkMSIInvariants(t *testing.T, g *generator) {
 	t.Helper()
-	modifiedHolders := map[int]int{} // row -> cores holding it Modified
+	resident := make([]uint64, len(g.sharers))
+	modifiedHolders := make([]int, len(g.owner)) // per row
 	for c, l2 := range g.l2 {
-		for set, ways := range l2.sets {
-			for _, w := range ways {
-				if w.state == invalid {
-					continue
-				}
-				addr := (w.tag<<l2.setBits | uint64(set)) << l2.blockBits
-				r := g.row(addr)
-				owner := int(g.owner[r])
-				if w.state == modified {
-					modifiedHolders[r]++
-					if owner != c {
-						t.Fatalf("line %#x: core %d holds M but owner is %d", addr, c, owner)
-					}
-				} else if owner == c {
-					t.Fatalf("line %#x: owner %d holds line in state %v", addr, c, w.state)
-				}
-				if g.sharersOf(r)[c/64]&(1<<(c%64)) == 0 {
-					t.Fatalf("line %#x: core %d holds the line but is not a sharer", addr, c)
-				}
+		for _, k := range l2.keys {
+			st := lineState(k & 3)
+			if st == invalid {
+				continue
 			}
-		}
-	}
-	for r, n := range modifiedHolders {
-		if n > 1 {
-			t.Fatalf("row %d: %d modified holders", r, n)
+			addr := k >> 2 << l2.blockBits
+			r := g.row(addr)
+			owner := int(g.owner[r])
+			if st == modified {
+				modifiedHolders[r]++
+				if owner != c {
+					t.Fatalf("line %#x: core %d holds M but owner is %d", addr, c, owner)
+				}
+			} else if owner == c {
+				t.Fatalf("line %#x: owner %d holds line in state %v", addr, c, st)
+			}
+			resident[r*g.words+c/64] |= 1 << (c % 64)
 		}
 	}
 	for r, owner := range g.owner {
+		if n := modifiedHolders[r]; n > 1 {
+			t.Fatalf("row %d: %d modified holders", r, n)
+		}
 		if owner >= 0 && modifiedHolders[r] == 0 {
 			t.Fatalf("row %d: owner %d recorded but no M copy resident", r, owner)
 		}
 	}
+	for i, w := range g.sharers {
+		r, base := i/g.words, 64*(i%g.words)
+		if extra := resident[i] &^ w; extra != 0 {
+			t.Fatalf("row %d: core %d holds the line but is not a sharer", r, base+bits.TrailingZeros64(extra))
+		}
+		if stale := w &^ resident[i]; stale != 0 {
+			t.Fatalf("row %d: sharer %d holds no L2 copy", r, base+bits.TrailingZeros64(stale))
+		}
+	}
 }
 
-// Property: the MSI single-writer invariant holds throughout generation.
+// Property: the MSI invariants hold throughout the silent warm-up, whose
+// L2 evictions clear sharer bits, and through generation, under both
+// protocols.
 func TestMSISingleWriterInvariant(t *testing.T) {
-	p := small()
-	p.Messages = 1500
 	cfg := DefaultConfig()
-	g := newGenerator(p, cfg, 13)
-	for round := 0; round < 30; round++ {
-		for c := 0; c < cfg.Cores; c++ {
-			for r := 0; r < 40; r++ {
-				g.reference(c)
-			}
+	warmRefs := 2 * cfg.L2SizeBytes / cfg.L2BlockBytes
+	for _, name := range []string{"Barnes", "Cholesky", "FFT", "LU"} {
+		for _, proto := range []Protocol{Snoopy, DirectoryMSI} {
+			t.Run(name+"/"+proto.String(), func(t *testing.T) {
+				p, err := BenchmarkByName(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.Protocol = proto
+				g := newGenerator(p, cfg, 13)
+				const rounds = 4
+				for round := 0; round < rounds; round++ {
+					for c := 0; c < cfg.Cores; c++ {
+						for i := 0; i < warmRefs/rounds; i++ {
+							g.warmReference(c)
+						}
+					}
+					checkMSIInvariants(t, g)
+				}
+				for round := 0; round < rounds; round++ {
+					for c := 0; c < cfg.Cores; c++ {
+						for r := 0; r < 40; r++ {
+							g.reference(c)
+						}
+					}
+					checkMSIInvariants(t, g)
+				}
+				if len(g.msgs) == 0 {
+					t.Fatal("generation emitted no messages")
+				}
+			})
 		}
-		checkMSIInvariants(t, g)
 	}
 }
 

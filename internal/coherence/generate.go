@@ -181,17 +181,17 @@ func (g *generator) reference(core int) bool {
 	// L1 filters read hits; writes always consult the L2 so upgrade
 	// traffic is preserved.
 	if !write {
-		if g.l1[core].lookup(addr) != nil {
+		if g.l1[core].lookup(addr) != invalid {
 			return false
 		}
 		g.l1[core].insert(addr, shared)
 	}
-	w := g.l2[core].lookup(addr)
+	st := g.l2[core].lookup(addr)
 	switch {
-	case w == nil:
+	case st == invalid:
 		g.miss(core, addr, write)
 		return true
-	case write && w.state == shared:
+	case write && st == shared:
 		g.upgrade(core, addr)
 		return true
 	default:
@@ -204,16 +204,16 @@ func (g *generator) reference(core int) bool {
 func (g *generator) warmReference(core int) {
 	addr, write := g.nextRef(core)
 	if !write {
-		if g.l1[core].lookup(addr) != nil {
+		if g.l1[core].lookup(addr) != invalid {
 			return
 		}
 		g.l1[core].insert(addr, shared)
 	}
-	w := g.l2[core].lookup(addr)
+	st := g.l2[core].lookup(addr)
 	switch {
-	case w == nil:
+	case st == invalid:
 		g.fill(core, addr, write, 0, false)
-	case write && w.state == shared:
+	case write && st == shared:
 		g.takeOwnership(core, addr)
 		g.l2[core].setState(addr, modified)
 	}

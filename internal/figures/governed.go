@@ -238,19 +238,21 @@ func governedSeries(config, pattern string, pts []GovernedPoint, title, ylabel s
 }
 
 // The recovery study's load and fault: offered 0.25, past the healthy
-// knee so the governor is actively governing when the links die, and 6
-// of the 8x8 mesh's 8 vertical-bisection links dead mid-run.
+// knee so the governor is actively governing when the links die, 6 of the
+// 8x8 mesh's 8 vertical-bisection links dead mid-run, and 300 warm-up
+// cycles.
 const (
 	recoveryRate      = 0.25
 	recoveryDeadLinks = 6
+	recoveryWarmup    = 300
 )
 
 // RecoveryOpts controls the fault back-off/re-convergence study.
 type RecoveryOpts struct {
-	// Warmup and Measure cycles (defaults 300 and 6000; the fault
-	// window and heal need room inside the measure phase).
-	Warmup, Measure int
-	Seed            int64
+	// Measure cycles (default 6000; the fault window and heal need room
+	// inside the measure phase).
+	Measure int
+	Seed    int64
 }
 
 // RecoveryResult is the study outcome: the governor's rate history plus
@@ -278,15 +280,12 @@ type RecoveryResult struct {
 // population backs off while the fabric is degraded and re-converges
 // after it heals. Deterministic for fixed opts.
 func GovernedRecovery(opts RecoveryOpts) RecoveryResult {
-	if opts.Warmup == 0 {
-		opts.Warmup = 300
-	}
 	if opts.Measure == 0 {
 		opts.Measure = 6000
 	}
-	total := int64(opts.Warmup + opts.Measure)
-	from := int64(opts.Warmup) + total/3
-	until := int64(opts.Warmup) + 2*total/3
+	total := int64(recoveryWarmup + opts.Measure)
+	from := recoveryWarmup + total/3
+	until := recoveryWarmup + 2*total/3
 	plan := &fault.Plan{}
 	for i := 0; i < recoveryDeadLinks; i++ {
 		// East links out of column 3: the 8x8 mesh's vertical bisection.
@@ -305,7 +304,7 @@ func GovernedRecovery(opts RecoveryOpts) RecoveryResult {
 	r := sim.RunRate(net, sim.RateConfig{
 		Pattern: traffic.UniformRandom(net.Nodes(), exp.DeriveSeed(opts.Seed, 2)),
 		Rate:    recoveryRate,
-		Warmup:  opts.Warmup, Measure: opts.Measure,
+		Warmup:  recoveryWarmup, Measure: opts.Measure,
 		Seed: opts.Seed,
 		CC:   gov,
 	})
@@ -322,7 +321,7 @@ func GovernedRecovery(opts RecoveryOpts) RecoveryResult {
 	var preN, faultN, postN int
 	for _, s := range res.Samples {
 		switch {
-		case s.Cycle >= int64(opts.Warmup) && s.Cycle < from:
+		case s.Cycle >= recoveryWarmup && s.Cycle < from:
 			preSum += s.MeanRate
 			preN++
 		case s.Cycle >= from+settle && s.Cycle < until:
