@@ -30,6 +30,7 @@ func main() {
 	list := flag.Bool("list", false, "list available benchmarks and exit")
 	telemetryAddr := cliflags.TelemetryAddr(flag.CommandLine)
 	flag.Parse()
+	cliflags.Counts("tracegen", flag.CommandLine, "messages")
 	if _, err := telemetry.Start(*telemetryAddr, nil); err != nil {
 		fail(err)
 	}

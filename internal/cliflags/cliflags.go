@@ -4,10 +4,9 @@
 // (-hops, -buffers, -delay) with their unused-flag check, the shared
 // -seed flag, the plain -telemetry-addr endpoint flag, the -faults
 // argument parser, the injection-rate and count checks, and the uniform
-// error exit. Single-run cmds (phastlane) still register the full
+// error exit. The single-run cmd (phastlane) registers the full
 // telemetry.CLI bundle (flight recorder, phase sampling) on top of
-// these; the study cmds (reproduce, inspect) take just the endpoint
-// address.
+// these; reproduce and tracegen take just the endpoint address.
 package cliflags
 
 import (
@@ -46,8 +45,8 @@ func RegisterGeometry(fs *flag.FlagSet) *Geometry {
 	return g
 }
 
-// Build constructs the selected topology.
-func (g *Geometry) Build() (topo.Topology, error) {
+// build constructs the selected topology.
+func (g *Geometry) build() (topo.Topology, error) {
 	return topo.New(g.Topo, g.Width, g.Height, g.Arity)
 }
 
@@ -69,20 +68,25 @@ func (g *Geometry) RequireMesh(feature string) error {
 
 // FabricNetwork builds the generic store-and-forward simulator over the
 // selected fabric — the execution substrate the cmds use for non-mesh
-// topologies. routerDelay <= 0 keeps the fabsim default; lossTimeout > 0
+// topologies. routerDelay 0 keeps the fabsim default; lossTimeout > 0
 // arms fabsim's delivery watchdog, honouring the shared -loss-timeout
-// flag on fabric runs exactly as the mesh simulators do.
+// flag on fabric runs exactly as the mesh simulators do. A config that
+// fabsim rejects, such as a negative loss timeout, is returned as its
+// validation error.
 func (g *Geometry) FabricNetwork(routerDelay int, lossTimeout int64, seed int64) (*fabsim.Network, error) {
-	t, err := g.Build()
+	t, err := g.build()
 	if err != nil {
 		return nil, err
 	}
 	cfg := fabsim.DefaultConfig(t)
-	if routerDelay > 0 {
+	if routerDelay != 0 {
 		cfg.RouterDelay = routerDelay
 	}
 	cfg.LossTimeout = lossTimeout
 	cfg.Seed = seed
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	return fabsim.New(cfg), nil
 }
 
@@ -135,20 +139,28 @@ func checkRates(flagName string, rates []float64) error {
 	return nil
 }
 
-// Counts exits through Fail if any of the int flags named in names, as
-// registered on fs, holds a negative value. Cycle and trial counts take 0
-// as "use the default"; a negative count is an input error, not another
-// spelling of the default.
+// Counts exits through Fail if any of the int or int64 flags named in
+// names, as registered on fs, holds a negative value. Cycle, trial and
+// message counts take 0 as "use the default"; a negative count is an
+// input error, not another spelling of the default.
 func Counts(cmd string, fs *flag.FlagSet, names ...string) {
 	if err := checkCounts(fs, names); err != nil {
 		Fail(cmd, err)
 	}
 }
 
-// checkCounts names the first of the named int flags that is negative.
+// checkCounts names the first of the named int or int64 flags that is
+// negative.
 func checkCounts(fs *flag.FlagSet, names []string) error {
 	for _, name := range names {
-		if n := fs.Lookup(name).Value.(flag.Getter).Get().(int); n < 0 {
+		var n int64
+		switch v := fs.Lookup(name).Value.(flag.Getter).Get().(type) {
+		case int:
+			n = int64(v)
+		default:
+			n = v.(int64)
+		}
+		if n < 0 {
 			return fmt.Errorf("-%s %d is negative", name, n)
 		}
 	}

@@ -19,7 +19,7 @@ func TestRegisterGeometryDefaultsAndBuild(t *testing.T) {
 	if !g.IsMesh() || g.Width != 8 || g.Height != 8 {
 		t.Fatalf("defaults: %+v", g)
 	}
-	tp, err := g.Build()
+	tp, err := g.build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestGeometryFabrics(t *testing.T) {
 		if err := g.RequireMesh("trace replay"); err == nil {
 			t.Fatalf("%v: RequireMesh passed", tc.args)
 		}
-		tp, err := g.Build()
+		tp, err := g.build()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,12 +64,19 @@ func TestGeometryFabrics(t *testing.T) {
 		if net.Nodes() != tc.endpoints {
 			t.Fatalf("%v fabsim nodes %d, want %d", tc.args, net.Nodes(), tc.endpoints)
 		}
+		// A config fabsim rejects is an error, not fabsim.New's panic.
+		if _, err := g.FabricNetwork(0, -5, 1); err == nil || err.Error() != "fabsim: loss timeout -5" {
+			t.Errorf("%v: loss timeout -5 gave error %v", tc.args, err)
+		}
+		if _, err := g.FabricNetwork(-3, 0, 1); err == nil || err.Error() != "fabsim: router delay -3" {
+			t.Errorf("%v: router delay -3 gave error %v", tc.args, err)
+		}
 	}
 }
 
 func TestGeometryRejectsUnknownFabric(t *testing.T) {
 	g := &Geometry{Topo: "torus", Width: 8, Height: 8, Arity: 2}
-	if _, err := g.Build(); err == nil {
+	if _, err := g.build(); err == nil {
 		t.Fatal("unknown fabric built")
 	}
 }
@@ -155,6 +162,29 @@ func TestCounts(t *testing.T) {
 	err := checkCounts(fs, []string{"warmup", "measure"})
 	if want := "-measure -1 is negative"; err == nil || err.Error() != want {
 		t.Fatalf("got error %v, want %q", err, want)
+	}
+
+	// The commands' other counts: phastlane's -window is an int64 flag,
+	// its -delay on a fabric used to fall back to fabsim's default when
+	// negative, and so did tracegen's -messages to the benchmark's.
+	counts := func(args ...string) error {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		RegisterNets(fs)
+		fs.Int64("window", 0, "")
+		fs.Int("messages", 0, "")
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return checkCounts(fs, []string{"delay", "window", "messages"})
+	}
+	if err := counts("-window", "0", "-delay", "2", "-messages", "0"); err != nil {
+		t.Errorf("valid counts rejected: %v", err)
+	}
+	for _, tc := range [][2]string{{"window", "-5"}, {"delay", "-3"}, {"messages", "-5"}} {
+		err := counts("-"+tc[0], tc[1])
+		if want := "-" + tc[0] + " " + tc[1] + " is negative"; err == nil || err.Error() != want {
+			t.Errorf("-%s %s: got error %v, want %q", tc[0], tc[1], err, want)
+		}
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 	"phastlane/internal/electrical"
 )
 
-// Nets is the flag block of the two mesh network models, shared by
-// phastlane and inspect: -hops and -buffers configure the optical mesh,
-// -delay the electrical network's per-hop router delay.
+// Nets is the flag block of the two mesh network models: -hops and
+// -buffers configure the optical mesh, -delay the electrical network's
+// per-hop router delay.
 type Nets struct {
 	Hops, Buffers, Delay int
 }

@@ -79,10 +79,10 @@ type CompareOpts struct {
 	// Rates for the synthetic (uniform-random) latency sweep.
 	Rates           []float64
 	Warmup, Measure int
-	// Benchmark and Messages select the coherence-trace round.
-	Benchmark string
-	Messages  int
-	Seed      int64
+	// Messages overrides the length of the coherence-trace round, which
+	// replays LU (0 = full).
+	Messages int
+	Seed     int64
 }
 
 // CompareResult holds one architecture's numbers.
@@ -105,10 +105,7 @@ func Compare(opts CompareOpts, engine exp.Options) ([]CompareResult, error) {
 	if opts.Rates == nil {
 		opts.Rates = []float64{0.02, 0.05, 0.10, 0.20, 0.30}
 	}
-	if opts.Benchmark == "" {
-		opts.Benchmark = "LU"
-	}
-	tr, err := TraceFor(opts.Benchmark, opts.Messages, opts.Seed+21)
+	tr, err := TraceFor("LU", opts.Messages, opts.Seed+21)
 	if err != nil {
 		return nil, err
 	}

@@ -157,9 +157,7 @@ type SplashOpts struct {
 	Benchmarks []string
 	// Messages overrides each workload's trace length (0 = full).
 	Messages int
-	// Limit caps each replay's cycles (0 = RunTrace default).
-	Limit int64
-	Seed  int64
+	Seed     int64
 }
 
 // SplashRow holds one benchmark's results across every configuration,
@@ -232,7 +230,7 @@ func Splash(opts SplashOpts, engine exp.Options) ([]SplashRow, error) {
 	}
 	replays := exp.Run(jobs, func(_ int, j job) replayOut {
 		cfg := configs[j.ci]
-		res, err := sim.RunTrace(cfg.Build(opts.Seed+3), traces[j.bi].tr, sim.ReplayConfig{Limit: opts.Limit})
+		res, err := sim.RunTrace(cfg.Build(opts.Seed+3), traces[j.bi].tr, sim.ReplayConfig{})
 		if err != nil {
 			err = fmt.Errorf("%s on %s: %w", benches[j.bi].Name, cfg.Name, err)
 		}

@@ -14,14 +14,18 @@ import (
 	"phastlane/internal/traffic"
 )
 
-// The inspection path is the single-run deep dive behind cmd/inspect and
-// the -trace-out/-metrics-out/-heatmap flags of cmd/reproduce: it re-runs
-// one (network, pattern, rate) point with the full observability bundle
-// attached and hands back per-node matrices, cycle-windowed time series,
-// and (optionally) a Perfetto event trace.
-// Because sweeps are deterministic, a re-run with the same seed observes
-// exactly the simulation the sweep measured - observability costs the
-// parallel grids nothing.
+// The inspection path is the deep dive behind the -trace-out,
+// -metrics-out, -series-out, -heatmap and -why flags of cmd/phastlane and
+// the -trace-out/-metrics-out/-heatmap flags of cmd/reproduce: it runs
+// (network, pattern, rate) points with the observability bundle attached
+// and hands back per-node matrices, cycle-windowed time series, and
+// (optionally) a Perfetto event trace, so observability costs the
+// parallel grids nothing. Runs are deterministic, but a re-run observes
+// the simulation a sweep measured only if it builds the network at the
+// sweep's seed: Fig9 builds its networks at seed+1 and a deep dive at the
+// seed, so the re-run of an optical Fig. 9 point that drops packets is
+// not the point Fig. 9 measured (ROADMAP.md, "One run manifest,
+// deterministic artifacts").
 
 // InspectOpts describes one observability deep dive.
 type InspectOpts struct {
@@ -49,9 +53,6 @@ type InspectOpts struct {
 	// Trace, when non-nil, receives every event - typically
 	// obs.TraceFile.Tracer(pid) with a per-run pid.
 	Trace func(obs.Event)
-	// Prov, when non-nil, attaches a caller-built provenance tracker
-	// (already registered with telemetry, say) for the tail-blame report.
-	Prov *provenance.Tracker
 }
 
 // InspectResult bundles the observability outputs of one point.
@@ -64,24 +65,31 @@ type InspectResult struct {
 	Metrics *obs.Metrics
 	Sampler *obs.Sampler
 	Run     sim.Result
-	// Prov is InspectOpts.Prov: the point's provenance tracker, or nil.
+	// Prov, when non-nil, is the run's provenance tracker, whose
+	// tail-blame report Bundle.Write prints.
 	Prov *provenance.Tracker
 }
 
-// Inspect runs one point with the observability bundle attached.
-func Inspect(o InspectOpts) InspectResult {
-	c := &obs.Collector{
+// Collector returns the point's observability bundle: per-node matrices
+// of Width x Height, a sampler binned at Window, and Trace.
+func (o InspectOpts) Collector() *obs.Collector {
+	return &obs.Collector{
 		Metrics: obs.NewMetrics(o.Width, o.Height),
 		Sampler: obs.NewSampler(o.Width*o.Height, o.Window),
 		Trace:   o.Trace,
 	}
+}
+
+// Inspect runs one point with the observability bundle attached.
+func Inspect(o InspectOpts) InspectResult {
+	c := o.Collector()
 	net := o.Build(o.Seed)
-	res := InspectResult{Name: o.Name, Metrics: c.Metrics, Sampler: c.Sampler, Prov: o.Prov}
+	res := InspectResult{Name: o.Name, Metrics: c.Metrics, Sampler: c.Sampler}
 	_, res.Traced = net.(obs.Traceable)
 	res.Run = sim.RunRate(net, sim.RateConfig{
 		Pattern: o.Pattern, Rate: o.Rate,
 		Warmup: o.Warmup, Measure: o.Measure,
-		Seed: o.Seed, Obs: c, Prov: o.Prov,
+		Seed: o.Seed, Obs: c,
 	})
 	return res
 }
@@ -182,7 +190,7 @@ func InspectHeatmaps(results []InspectResult) string {
 	return b.String()
 }
 
-// PatternByName builds a sized traffic pattern for the inspection cmds.
+// PatternByName builds a sized traffic pattern from its name.
 // Uniform is stateful, so callers must not share the returned pattern
 // across concurrent runs.
 func PatternByName(name string, nodes int, seed int64) (traffic.Pattern, error) {

@@ -187,7 +187,7 @@ func (f *TraceFile) Close() error {
 // ValidateTrace decodes a trace stream written by TraceFile and returns
 // the number of event objects (including metadata events). It fails if the
 // file is not a JSON array of objects each carrying a "ph" phase - the
-// check the CI smoke step runs on cmd/inspect output.
+// check a deep dive (figures.Bundle) runs on every trace it writes.
 func ValidateTrace(r io.Reader) (int, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {

@@ -6,8 +6,8 @@ import "flag"
 const DefaultTop = 10
 
 // CLI is the command-line surface of the provenance layer, mirroring
-// telemetry.CLI: cmd/inspect registers it, and -why attaches provenance
-// to its deep-dive runs.
+// telemetry.CLI: cmd/phastlane registers it, and -why attaches
+// provenance to its run.
 type CLI struct {
 	// Why is -why: attach provenance and print tail-blame reports.
 	Why bool

@@ -6,11 +6,11 @@ import (
 	"io"
 )
 
-// CLI is the shared command-line surface of the telemetry layer. Long-
-// running commands register it with RegisterFlags; single-run commands
-// then build the full bundle with StartRun, while the study commands
-// (reproduce, inspect) call Start directly with just the address
-// (endpoint and process metrics, no per-run counters).
+// CLI is the command-line surface of the telemetry layer. The single-run
+// command (phastlane) registers it with RegisterFlags and builds the
+// full bundle with StartRun, while reproduce and tracegen call Start
+// directly with just the address (endpoint and process metrics, no
+// per-run counters).
 type CLI struct {
 	// Addr is -telemetry-addr: serve /metrics, /telemetry.json and
 	// /debug/pprof/ on this address ("" = off, ":0" = any free port).
