@@ -14,7 +14,8 @@
 //
 // -hops, -buffers and -retry-limit apply to -net optical on the mesh
 // only; -delay applies to -net electrical only, on the mesh and on
-// fabrics alike. Each exits 1 when set where no network reads it.
+// fabrics alike. Each exits 1 when set where no network reads it, as
+// -pattern, -rate, -warmup and -measure do under -trace.
 //
 // Usage:
 //
@@ -97,8 +98,16 @@ func run(args []string, stdout io.Writer) {
 	if err := nets.Check(fs, *netName == "optical" && geo.IsMesh(), *netName == "electrical"); err != nil {
 		fail(err)
 	}
-	if *tracePath != "" && ccFlags.Enabled {
-		fail(fmt.Errorf("-cc applies to synthetic-traffic runs, not -trace replay"))
+	if *tracePath != "" {
+		if ccFlags.Enabled {
+			fail(fmt.Errorf("-cc applies to synthetic-traffic runs, not -trace replay"))
+		}
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "pattern", "rate", "warmup", "measure":
+				fail(fmt.Errorf("-%s applies to synthetic-traffic runs, not -trace replay", f.Name))
+			}
+		})
 	}
 
 	// name labels the run in traces, tables and blame reports; tp, on a

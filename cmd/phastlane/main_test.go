@@ -38,6 +38,10 @@ func TestFlagErrorsExit1(t *testing.T) {
 		{[]string{"-why-out", "report.json"}, "-why-out applies with -why only"},
 		{[]string{"-min-attrib", "0.5"}, "-min-attrib applies with -why only"},
 		{[]string{"-cc", "-trace", "ocean.trace"}, "-cc applies to synthetic-traffic runs, not -trace replay"},
+		{[]string{"-trace", "ocean.trace", "-pattern", "Transpose"}, "-pattern applies to synthetic-traffic runs, not -trace replay"},
+		{[]string{"-trace", "ocean.trace", "-rate", "0.9"}, "-rate applies to synthetic-traffic runs, not -trace replay"},
+		{[]string{"-trace", "ocean.trace", "-warmup", "7"}, "-warmup applies to synthetic-traffic runs, not -trace replay"},
+		{[]string{"-trace", "ocean.trace", "-measure", "5"}, "-measure applies to synthetic-traffic runs, not -trace replay"},
 		{[]string{"-net", "electrical", "-hops", "5"}, "-hops applies to the optical mesh only"},
 		{[]string{"-window", "-5"}, "-window -5 is negative"},
 		{append([]string{"-loss-timeout", "-5"}, fabric...), "fabsim: loss timeout -5"},

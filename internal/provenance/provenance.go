@@ -156,7 +156,7 @@ func (t *Tracker) Complete(id uint64, cycle int64) {
 	}
 	t.completed++
 	t.latSum += l.latency
-	t.lat.Add(float64(l.latency))
+	t.lat.Add(l.latency)
 	if t.hist != nil {
 		t.hist.Observe(float64(l.latency))
 	}

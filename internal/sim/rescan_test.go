@@ -60,7 +60,7 @@ func runTraceRescan(net Network, tr *trace.Trace, cfg ReplayConfig) (Result, err
 	// never before EarliestCycle. A lost message resolves the same way —
 	// its children proceed — but contributes no latency sample, so a
 	// faulty replay degrades instead of deadlocking.
-	l.done = func(id uint64, st *messageState, lat float64) {
+	l.done = func(id uint64, st *messageState, lat int64) {
 		if !st.lost {
 			res.Makespan = l.cycle + 1
 			op := tr.Messages[id-1].Op

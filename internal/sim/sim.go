@@ -188,12 +188,16 @@ type ledger struct {
 	net  Network
 	nrun *stats.Run
 	res  *Result
-	// states[i] tracks message base+i. IDs are dense and bounded in both
-	// run modes, so the table is a slice, not a map: per-message map
-	// inserts used to dominate steady-state allocation. base == 0 means
-	// nothing has been recorded yet (IDs start at 1).
+	// states[i] tracks message base+i. IDs are dense in both run modes, so
+	// the table is a slice, not a map: per-message map inserts used to
+	// dominate steady-state allocation. base == 0 means nothing has been
+	// recorded yet (IDs start at 1). A replay allocates the table for its
+	// whole trace up front, since it injects out of ID order; a rate run
+	// appends in ID order, and slide drops the resolved records before lo
+	// off the front.
 	states []messageState
 	base   uint64
+	lo     int
 	cycle  int64
 	// injected counts every message handed to the network, measured the
 	// measured ones, and inFlight the measured ones not yet resolved.
@@ -205,7 +209,7 @@ type ledger struct {
 	deliveries               []Delivery // reused across cycles (Step buffer contract)
 	// done, when set, runs once per resolved measured message after the
 	// ledger's own accounting; st.lost tells a loss from a delivery.
-	done func(id uint64, st *messageState, lat float64)
+	done func(id uint64, st *messageState, lat int64)
 
 	sampler *obs.Sampler
 	tel     *telemetry.Run
@@ -275,6 +279,7 @@ func (l *ledger) inject(m Message, at int64, measured bool) {
 		l.states[i] = st // a replay's table, allocated up front
 	} else {
 		l.states = append(l.states, st) // rate runs record IDs in order
+		l.slide()
 	}
 	if measured {
 		l.measured++
@@ -282,8 +287,30 @@ func (l *ledger) inject(m Message, at int64, measured bool) {
 	}
 }
 
+// slideFloor is the fewest resolved records slide moves the table's front
+// past at once, so short runs and light loads never copy.
+const slideFloor = 1024
+
+// slide advances lo past the resolved records (remaining == 0) at the
+// front of a rate run's table and, once they fill half the table and at
+// least slideFloor, copies the live tail to the front and adds lo to
+// base. The table then holds about twice the span from the oldest
+// unresolved message to the newest; a message that never resolves pins
+// lo, and the table grows as the run does.
+func (l *ledger) slide() {
+	for l.lo < len(l.states) && l.states[l.lo].remaining == 0 {
+		l.lo++
+	}
+	if l.lo >= slideFloor && 2*l.lo >= len(l.states) {
+		l.states = l.states[:copy(l.states, l.states[l.lo:])]
+		l.base += uint64(l.lo)
+		l.lo = 0
+	}
+}
+
 // state returns the record of an outstanding message, or nil for one the
-// ledger does not track (unrecorded warmup traffic) or has resolved.
+// ledger does not track (unrecorded warmup traffic) or has resolved,
+// including one slid off the table's front.
 func (l *ledger) state(id uint64) *messageState {
 	i := id - l.base // IDs below base wrap to an out-of-range index
 	if i >= uint64(len(l.states)) || l.states[i].remaining == 0 {
@@ -338,12 +365,12 @@ func (l *ledger) lose(loss Loss) {
 // governor hears about every message it is tracked for; the stats and
 // the other hooks only about measured ones.
 func (l *ledger) finish(id uint64, st *messageState) {
-	lat := float64(l.cycle - st.inject + 1)
+	lat := l.cycle - st.inject + 1
 	if l.gov != nil {
 		if st.lost {
 			l.gov.Lost(st.src)
 		} else {
-			l.gov.Ack(st.src, lat)
+			l.gov.Ack(st.src, float64(lat))
 		}
 	}
 	if !st.measured {
@@ -361,9 +388,9 @@ func (l *ledger) finish(id uint64, st *messageState) {
 	} else {
 		l.res.Run.Latency.Add(lat)
 		l.completed++
-		l.latencySum += lat
+		l.latencySum += float64(lat)
 		if l.tel != nil {
-			l.tel.Latency.Observe(lat)
+			l.tel.Latency.Observe(float64(lat))
 		}
 		if l.prov != nil {
 			l.prov.Complete(id, l.cycle)
@@ -461,7 +488,7 @@ func RunRate(net Network, cfg RateConfig) Result {
 	res := Result{OfferedRate: cfg.Rate, DeliveredBySender: make([]int64, net.Nodes())}
 	gov := cfg.CC
 	l := newLedger(net, &res, cfg.Obs, cfg.Telemetry, cfg.Prov, gov)
-	l.done = func(_ uint64, st *messageState, _ float64) {
+	l.done = func(_ uint64, st *messageState, _ int64) {
 		if !st.lost {
 			res.DeliveredBySender[st.src]++
 		}
@@ -589,7 +616,7 @@ func RunTrace(net Network, tr *trace.Trace, cfg ReplayConfig) (Result, error) {
 	// never before EarliestCycle. A lost message resolves the same way —
 	// its children proceed — but contributes no latency sample, so a
 	// faulty replay degrades instead of deadlocking.
-	l.done = func(id uint64, st *messageState, lat float64) {
+	l.done = func(id uint64, st *messageState, lat int64) {
 		if !st.lost {
 			res.Makespan = l.cycle + 1
 			op := tr.Messages[id-1].Op

@@ -6,65 +6,85 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
-// Latency accumulates packet latency samples in cycles.
+// latencyCap bounds Latency's count table: 1<<16 cycles is above a default
+// rate run's longest possible latency (Measure + DrainLimit), and the
+// table then costs at most 512 KB.
+const latencyCap = 1 << 16
+
+// Latency accumulates packet latency samples in whole cycles as an exact
+// count table, so what it keeps depends on the longest latency seen, not
+// on how many samples a run takes. The zero value is an empty table.
 type Latency struct {
-	samples []float64
-	sum     float64
-	sorted  bool
+	// counts[c] holds the number of samples of c cycles, c < latencyCap.
+	// It is exactly as long as the largest such sample plus one.
+	counts []int
+	// long holds the samples at or above latencyCap, in ascending order.
+	long []int64
+	n    int
+	sum  int64
 }
 
-// Add records one latency sample.
-func (l *Latency) Add(cycles float64) {
-	l.samples = append(l.samples, cycles)
+// Add records one latency sample; a negative one panics.
+func (l *Latency) Add(cycles int64) {
+	switch {
+	case cycles < 0:
+		panic(fmt.Sprintf("stats: negative latency sample %d", cycles))
+	case cycles < latencyCap:
+		if c := int(cycles); c >= len(l.counts) {
+			l.counts = append(l.counts, make([]int, c+1-len(l.counts))...)
+		}
+		l.counts[cycles]++
+	default:
+		i, _ := slices.BinarySearch(l.long, cycles)
+		l.long = slices.Insert(l.long, i, cycles)
+	}
+	l.n++
 	l.sum += cycles
-	l.sorted = false
 }
 
 // Count returns the number of samples.
-func (l *Latency) Count() int { return len(l.samples) }
+func (l *Latency) Count() int { return l.n }
 
 // Mean returns the average latency, or 0 with no samples.
 func (l *Latency) Mean() float64 {
-	if len(l.samples) == 0 {
+	if l.n == 0 {
 		return 0
 	}
-	return l.sum / float64(len(l.samples))
+	return float64(l.sum) / float64(l.n)
 }
 
 // Percentile returns the p-th percentile (0 < p <= 100), or 0 with no
-// samples.
+// samples: the sample at rank ceil(p/100·n) in ascending order.
 func (l *Latency) Percentile(p float64) float64 {
-	if len(l.samples) == 0 {
+	if l.n == 0 {
 		return 0
 	}
-	if !l.sorted {
-		sort.Float64s(l.samples)
-		l.sorted = true
-	}
-	idx := int(math.Ceil(p/100*float64(len(l.samples)))) - 1
+	idx := int(math.Ceil(p/100*float64(l.n))) - 1
 	if idx < 0 {
 		idx = 0
 	}
-	if idx >= len(l.samples) {
-		idx = len(l.samples) - 1
+	if idx >= l.n {
+		idx = l.n - 1
 	}
-	return l.samples[idx]
+	for c, k := range l.counts {
+		if idx < k {
+			return float64(c)
+		}
+		idx -= k
+	}
+	return float64(l.long[idx])
 }
 
 // Max returns the largest sample, or 0 with no samples.
 func (l *Latency) Max() float64 {
-	if len(l.samples) == 0 {
-		return 0
+	if len(l.long) > 0 {
+		return float64(l.long[len(l.long)-1])
 	}
-	if !l.sorted {
-		sort.Float64s(l.samples)
-		l.sorted = true
-	}
-	return l.samples[len(l.samples)-1]
+	return float64(max(len(l.counts)-1, 0))
 }
 
 // Run aggregates the outcome of one simulation run.
